@@ -6,18 +6,31 @@ relations (1,...,1) and n0*e0 - na*ea; each class has a unique reduced tuple
 tuples translate directly into base-reduced divisors, which makes rank a
 three-integer formula.  The tau fragments and inversion lower bounds for the
 three special hub-adjacent markings live here too.
+
+The reduced tuple is found in closed form.  Every na*ea is the same class t,
+so a tuple a splits as r + Q*t with r = a mod n and Q = sum(a // n).  Adding
+(1,...,1) m times gives (r + m) mod n plus W(m)*t, where the wrap count
+W(m) = sum((r + m) // n) never decreases and rises at m by the number of
+zero entries of (r + m) mod n.  At the least m with Q + W(m) >= 0 that
+surplus is smaller than the number of zeros, and setting the leftmost
+Q + W(m) zero slots to full gives the reduced tuple.  Since
+Q + W(m) = sum((a + m) // n), the least m is bisected from a bracket of
+width about (g+1)/sum(1/n) <= max(n), so a reduction costs O(g log max n)
+integer operations whatever the size of the coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from itertools import product, repeat
+from math import comb, lcm
+from operator import add, floordiv, mod, mul
+from typing import Iterator
 
 from .errors import AlgorithmError, InvalidGraphError, WrongShapeError
 from .graphs import BananaSpec, Graph
 from .divisors import Divisor
-
-_REDUCE_GUARD = 10 ** 6
 
 MULTIVALENT_PAIR = "multivalent_pair"
 ONE_OFF = "one_off"
@@ -73,26 +86,40 @@ class BananaReducedDivisor:
         return Divisor(chips)
 
 
+@lru_cache(maxsize=64)
+def _wrap_rate(lengths: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """sum(1/n) over the strands as num/den with den = lcm(lengths), and the
+    weights den/n."""
+    den = lcm(*lengths)
+    weights = tuple(den // n for n in lengths)
+    return sum(weights), den, weights
+
+
 def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
-    work = list(entries)
-    for _ in range(_REDUCE_GUARD):
-        m = min(work)
-        if m:
-            work = [a - m for a in work]
-        over = next((i for i, a in enumerate(work) if a > lengths[i]), None)
-        if over is None:
-            break
-        zero = work.index(0)
-        work[over] -= lengths[over]
-        work[zero] = lengths[zero]
-    else:
-        raise AlgorithmError("tuple reduction did not terminate; this is a bug")
-    # left-justify: full values occupy the leftmost of the {0, full} slots
-    slots = [i for i, a in enumerate(work) if a == 0 or a == lengths[i]]
-    nfull = sum(1 for i in slots if work[i] == lengths[i])
-    for pos, i in enumerate(slots):
-        work[i] = lengths[i] if pos < nfull else 0
-    return tuple(work)
+    """Reduced tuple of the class of entries, at the least m with
+    Q + W(m) = sum((entries + m) // lengths) >= 0 (see the module docstring)."""
+    num, den, weights = _wrap_rate(lengths)
+    # each floor loses at most (n-1)/n, so with x = (m*num + c)/den the sum
+    # lies in [x - len + num/den, x]: it is < 0 at lo and >= 0 at hi
+    c = sum(map(mul, entries, weights))
+    lo = -(c // num) - 1
+    hi = -((c + num - len(lengths) * den) // num)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(map(floordiv, map(add, entries, repeat(mid)), lengths)) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    shifted = [a + hi for a in entries]
+    out = list(map(mod, shifted, lengths))
+    nfull = sum(map(floordiv, shifted, lengths))
+    zeros = [i for i, x in enumerate(out) if x == 0]
+    if nfull >= len(zeros):
+        raise AlgorithmError("tuple reduction left no zero entry; this is a bug")
+    # left-justify: full values occupy the leftmost of the zero slots
+    for i in zeros[:nfull]:
+        out[i] = lengths[i]
+    return tuple(out)
 
 
 def reduce_tuple(t: BananaTuple) -> BananaTuple:
@@ -100,13 +127,23 @@ def reduce_tuple(t: BananaTuple) -> BananaTuple:
     return BananaTuple(t.spec, _reduce_entries(t.spec.lengths, t.entries), t.degree_offset)
 
 
+def _reduced_tuples(lengths: tuple[int, ...], i: int = 0,
+                    prefix: tuple = ()) -> Iterator[tuple]:
+    """Reduced banana tuples extending a zero-free prefix, in lexicographic
+    order: a full entry may only precede the first zero, so once slot i is 0
+    the later slots run below full, and the last slot must be 0 if no zero
+    came before it."""
+    head = prefix + (0,)
+    for tail in product(*[range(n) for n in lengths[i + 1:]]):
+        yield head + tail
+    if i + 1 < len(lengths):
+        for a in range(1, lengths[i] + 1):
+            yield from _reduced_tuples(lengths, i + 1, prefix + (a,))
+
+
 def divisor_to_tuple(spec: BananaSpec, d: Divisor) -> BananaTuple:
     """Reduced tuple of [d - deg(d) * L], carrying deg(d) as the offset."""
-    raw = [0] * len(spec.lengths)
-    for v, c in d.coeffs.items():
-        alpha, i = spec.position(v)
-        raw[alpha] += c * i
-    return BananaTuple(spec, _reduce_entries(spec.lengths, raw), d.degree)
+    return BananaTuple(spec, _reduce_entries(spec.lengths, _raw_entries(spec, d)), d.degree)
 
 
 def tuple_to_reduced_divisor(t: BananaTuple, degree: int) -> BananaReducedDivisor:

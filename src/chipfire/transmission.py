@@ -11,7 +11,6 @@ backends are pinned to each other by the oracle tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from . import banana as _bn
@@ -157,36 +156,9 @@ def is_submodular_divisor(mg: MarkedGraph, d: Divisor) -> SubmodularityVerdict:
 
 def torsion_order(mg: MarkedGraph) -> int:
     """Order of [u - v] in the degree-0 class group."""
-    g = mg.graph
     if mg.degenerate:
         return 1
-    if g.banana is not None:
-        spec = g.banana
-        au, iu = spec.position(mg.u)
-        av, iv = spec.position(mg.v)
-        step = [0] * len(spec.lengths)
-        step[au] += iu
-        step[av] -= iv
-        zero = tuple([0] * len(spec.lengths))
-        cur = _bn._reduce_entries(spec.lengths, step)
-        n = 1
-        while cur != zero:
-            cur = _bn._reduce_entries(spec.lengths, [c + s for c, s in zip(cur, step)])
-            n += 1
-        return n
-    step = _vec(g, Divisor.at(mg.u) - Divisor.at(mg.v))
-    zero = tuple([0] * len(g.vertices))
-    work = list(step)
-    _reduce_vec(g, work, 0)
-    n = 1
-    bound = jacobian_order(g)
-    while tuple(work) != zero:
-        work = [c + s for c, s in zip(work, step)]
-        _reduce_vec(g, work, 0)
-        n += 1
-        if n > bound:
-            raise AlgorithmError("torsion iteration exceeded the class count")
-    return n
+    return _class_order(mg.graph, Divisor.at(mg.u) - Divisor.at(mg.v))
 
 
 def transmission_permutation(mg: MarkedGraph, d: Divisor) -> EafPerm:
@@ -242,10 +214,7 @@ def _class_reps(g: Graph, cap: int | None) -> Iterator[tuple]:
     coefficient vectors otherwise."""
     _check_cap(g, cap)
     if g.banana is not None:
-        lengths = g.banana.lengths
-        for cand in product(*[range(n + 1) for n in lengths]):
-            if _bn.BananaTuple(g.banana, cand).is_reduced():
-                yield cand
+        yield from _bn._reduced_tuples(g.banana.lengths)
     else:
         for d in enumerate_jacobian(g, cap=cap):
             yield tuple(_vec(g, d))

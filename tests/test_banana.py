@@ -1,14 +1,19 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
-                             BananaTuple, banana_rank, divisor_to_tuple,
+                             BananaTuple, _reduce_entries, banana_rank,
+                             class_rank, divisor_to_tuple,
                              inversion_lower_bound, predicted_tau,
                              reduce_tuple, tuple_to_reduced_divisor)
 from chipfire.divisors import Divisor, class_key, linear_equivalent, rank
 from chipfire.errors import InvalidGraphError, WrongShapeError
-from chipfire.graphs import MarkedGraph, build_banana
+from chipfire.graphs import BananaSpec, MarkedGraph, build_banana
 from chipfire.perms import inv_k
-from chipfire.transmission import transmission_permutation
+from chipfire.transmission import torsion_order, transmission_permutation
 
 from conftest import random_divisor
 
@@ -61,6 +66,84 @@ def test_tuple_equivalence_criterion(rng):
                       == divisor_to_tuple(spec, d2).entries
                       and d1.degree == d2.degree)
         assert same_tuple == linear_equivalent(g, d1, d2)
+
+
+def _loop_reduce_entries(lengths, entries):
+    """Test oracle: the strand-by-strand subtraction loop that the closed
+    form replaced; its cost grows with the entries, so keep them small."""
+    work = list(entries)
+    for _ in range(10 ** 5):
+        m = min(work)
+        if m:
+            work = [a - m for a in work]
+        over = next((i for i, a in enumerate(work) if a > lengths[i]), None)
+        if over is None:
+            break
+        zero = work.index(0)
+        work[over] -= lengths[over]
+        work[zero] = lengths[zero]
+    else:
+        raise AssertionError("oracle loop did not terminate")
+    slots = [i for i, a in enumerate(work) if a == 0 or a == lengths[i]]
+    nfull = sum(1 for i in slots if work[i] == lengths[i])
+    for pos, i in enumerate(slots):
+        work[i] = lengths[i] if pos < nfull else 0
+    return tuple(work)
+
+
+@st.composite
+def _lengths_and_entries(draw, lo=-200, hi=200):
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=8)))
+    entries = tuple(draw(st.lists(st.integers(lo, hi), min_size=len(lengths),
+                                  max_size=len(lengths))))
+    return lengths, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lengths_and_entries())
+@example(((3, 4, 5), (-7, -200, -1)))            # negative entries
+@example(((2, 3, 2, 2), (9, 9, 9, 9)))           # all entries equal
+@example(((1, 1, 1), (0, 0, 0)))                 # strands of length 1
+@example(((5, 4, 4, 3, 3, 3, 3, 3), (0, 0, 4000, 0, 0, 0, 0, 0)))   # one huge entry
+@example(((6, 1, 2), (-4000, 0, 0)))                 # one huge negative entry
+def test_reduce_entries_matches_loop_oracle(case):
+    lengths, entries = case
+    out = _reduce_entries(lengths, entries)
+    assert out == _loop_reduce_entries(lengths, entries)
+    assert BananaTuple(BananaSpec(lengths), out).is_reduced()
+    assert _reduce_entries(lengths, out) == out
+
+
+def test_reduce_entries_fixes_exactly_the_reduced_tuples():
+    for lengths in [(1, 1, 1), (2, 1), (2, 3, 2, 2), (3, 4, 5), (6, 1, 2)]:
+        spec = BananaSpec(lengths)
+        for cand in product(*[range(n + 1) for n in lengths]):
+            fixed = _reduce_entries(lengths, cand) == cand
+            assert fixed == BananaTuple(spec, cand).is_reduced(), (lengths, cand)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lengths_and_entries(), st.integers(-10 ** 30, 10 ** 30),
+       st.integers(0, 7), st.integers(0, 7))
+def test_reduce_entries_huge_relation_multiples(case, big, a, b):
+    # adding big * (n_a e_a - n_b e_b) or big * (1, ..., 1) keeps the class
+    lengths, entries = case
+    a, b = a % len(lengths), b % len(lengths)
+    out = _reduce_entries(lengths, entries)
+    moved = list(entries)
+    moved[a] += big * lengths[a]
+    moved[b] -= big * lengths[b]
+    assert _reduce_entries(lengths, moved) == out
+    assert _reduce_entries(lengths, [e + big for e in entries]) == out
+
+
+def test_class_rank_at_huge_coefficient():
+    g = build_banana(FIG6)
+    k = torsion_order(MarkedGraph(g, "s0.1", "s0.0"))
+    step = Divisor({"s0.1": 1, "s0.0": -1})
+    n = 10 ** 7
+    for base in (Divisor(), Divisor({"s0.5": 9}), Divisor({"s2.2": 4, "s0.0": 1})):
+        assert class_rank(g, base + n * step) == class_rank(g, base + (n % k) * step)
 
 
 def test_divisor_to_tuple_single_chip():

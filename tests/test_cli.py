@@ -175,6 +175,18 @@ def test_cli_delta_and_submodular(files, capsys):
     assert run_command(["tau", p]) == 1
 
 
+def test_cli_delta_fig6_huge_twist(tmp_path, capsys):
+    # D + 10^7 (u - v) on fig6 (torsion 91) matches D + (10^7 mod 91)(u - v)
+    values = []
+    for n in (10 ** 7, 10 ** 7 % 91):
+        p = tmp_path / f"fig6-{n}.graph"
+        p.write_text(FIG6_TEXT.replace("divisor s0.5:9",
+                                       f"divisor s0.5:9 s0.0:{n} s0.4:{-n}"))
+        assert run_command(["delta", str(p), "--json"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["result"])
+    assert values[0] == values[1]
+
+
 def test_cli_bn(files, tmp_path, capsys):
     hyper = tmp_path / "hyper.graph"
     hyper.write_text("banana 1 1 1 1\n")

@@ -192,6 +192,19 @@ def test_tau_window_riemann_roch_bounds(rng):
             assert b - d.degree <= tau(b) <= 2 * mg.graph.genus + b - d.degree
 
 
+def test_class_reps_generate_reduced_tuples_in_product_order():
+    from itertools import product
+    from chipfire.banana import BananaTuple
+    from chipfire.graphs import jacobian_order
+    for lengths in [(1, 1), (1, 1, 1, 1), (2, 1), (1, 3, 1), (2, 2, 2),
+                    (3, 4, 5), (2, 3, 2, 2), (4, 1, 2, 3)]:
+        g = build_banana(list(lengths))
+        filtered = [cand for cand in product(*[range(n + 1) for n in lengths])
+                    if BananaTuple(g.banana, cand).is_reduced()]
+        assert list(_class_reps(g, None)) == filtered
+        assert len(filtered) == jacobian_order(g)
+
+
 def test_tau_inv_twist_invariant():
     mg = MarkedGraph(build_theta(3, 1, 2), "s0.1", "s2.1")
     g = mg.graph
