@@ -135,6 +135,17 @@ def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
 # shape recognition helpers
 
 
+def _valence2_path(g: Graph, hub: str, start: str) -> list[str]:
+    """The walk hub, start, ... that goes on through valence-2 vertices and
+    stops at the first vertex of another valence."""
+    path = [hub, start]
+    while g.valence(path[-1]) == 2:
+        nxts = [g.vertices[w] for w, m in g._adj[g.index(path[-1])] for _ in range(m)]
+        nxts.remove(path[-2])
+        path.append(nxts[0])
+    return path
+
+
 def banana_strands(g: Graph) -> list[list[str]] | None:
     """Decompose a banana-shaped graph into hub-to-hub vertex paths.
 
@@ -158,23 +169,9 @@ def banana_strands(g: Graph) -> list[list[str]] | None:
             continue
         if start in used_interior:
             continue
-        path = [h1, start]
-        prev, cur = h1, start
-        while cur != h2:
-            if g.valence(cur) != 2:
-                return None
-            nxts = []
-            for w, m in g._adj[g.index(cur)]:
-                name = g.vertices[w]
-                for _ in range(m):
-                    nxts.append(name)
-            nxts.remove(prev)
-            if len(nxts) != 1:
-                return None
-            prev, cur = cur, nxts[0]
-            if cur == h1:
-                return None
-            path.append(cur)
+        path = _valence2_path(g, h1, start)
+        if path[-1] != h2:
+            return None
         used_interior.update(path[1:-1])
         strands.append(path)
     covered = {v for path in strands for v in path}
@@ -213,25 +210,11 @@ def _two_loops(g: Graph) -> tuple[str, list[list[str]]] | None:
             continue
         if mult != 1:
             return None
-        path = [w, start]
-        prev, cur = w, start
-        while True:
-            if g.valence(cur) != 2:
-                return None
-            nxts = []
-            for x, m in g._adj[g.index(cur)]:
-                name = g.vertices[x]
-                for _ in range(m):
-                    nxts.append(name)
-            nxts.remove(prev)
-            if len(nxts) != 1:
-                return None
-            prev, cur = cur, nxts[0]
-            if cur == w:
-                break
-            path.append(cur)
-        used.update(path[1:])
-        loops.append(path)
+        path = _valence2_path(g, w, start)
+        if path[-1] != w:
+            return None
+        used.update(path[1:-1])
+        loops.append(path[:-1])
     if len(loops) != 2:
         return None
     if {v for loop in loops for v in loop} != set(g.vertices):

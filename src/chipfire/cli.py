@@ -4,9 +4,10 @@ Subcommands mirror the library: rank, reduce, tau, delta, submodular, torsion,
 kgt, bn, census, certify-chain, classify, plus the hidden verify-witness that
 re-derives any emitted witness from scratch with every fast path disabled.
 
-Exit codes: 0 passing/true/value, 1 failing/false with a witness, 2 errors and
-INCONCLUSIVE verdicts.  --json selects a stable machine schema; output is
-byte-deterministic unless --timing is requested.
+Exit codes: 0 passing/true/value, 1 failing/false with a witness, 2 errors
+(recursion, memory and overflow errors included) and INCONCLUSIVE verdicts.
+--json selects a stable machine schema; output is byte-deterministic unless
+--timing is requested.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from . import certify as _certify
 from . import transmission as _tr
 from .divisors import Divisor, dhar_reduce, rank
-from .errors import ChipfireError, NonSubmodularError, SpecParseError
+from .errors import ChipfireError, NonSubmodularError
 from .graphs import Graph, MarkedGraph
 from .perms import EafPerm, inv_k, sci
 from .specfile import SpecDocument, parse_divisor_tokens, parse_spec
@@ -126,7 +127,7 @@ def _strip_fast_paths(g: Graph) -> Graph:
 def _cmd_rank(args, doc, out):
     g = doc.build_graph()
     d = _divisor_from_args(args, doc, g)
-    r = rank(g, d)
+    r = _tr._class_rank(g, d)
     out.result = {"rank": r, "degree": d.degree}
     out.say(str(r))
     return EXIT_PASS
@@ -382,8 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="spec file describing the graph")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timing", action="store_true", help="include elapsed time")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker budget hint (results are identical for any value)")
         if divisor:
             p.add_argument("--divisor", help="chips as 'VTX:INT ...' or @file; "
                                              "overrides the file's divisor lines")
@@ -414,9 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         text = _read_file(args.file)
     except OSError as err:
@@ -426,11 +422,13 @@ def run_command(argv) -> int:
     try:
         doc = parse_spec(text)
         return out.emit(_COMMANDS[args.command](args, doc, out))
-    except SpecParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
     except ChipfireError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except (RecursionError, MemoryError, OverflowError) as err:
+        # resource exhaustion is an error, never a failure with a witness
+        detail = f": {err}" if str(err) else ""
+        print(f"error: {type(err).__name__}{detail}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -114,6 +114,18 @@ def class_cap(cap: int | None = None) -> int:
     return int(env) if env else DEFAULT_CLASS_CAP
 
 
+def _check_cap(g: Graph, cap: int | None) -> int:
+    """The class count of g, or EnumerationCapError if it exceeds the cap."""
+    from .graphs import jacobian_order
+
+    limit = class_cap(cap)
+    order = jacobian_order(g)
+    if order > limit:
+        raise EnumerationCapError(
+            f"{order} classes exceeds the cap of {limit} (set CHIPFIRE_CLASS_CAP to raise)")
+    return order
+
+
 def _vec(g: Graph, d: Divisor) -> list[int]:
     vec = [0] * len(g.vertices)
     for v, c in d.coeffs.items():
@@ -316,13 +328,7 @@ def enumerate_jacobian(g: Graph, q: str | None = None, cap: int | None = None) -
     Breadth-first closure over the single-chip generators [w - q]; reduced
     vectors are the dedup keys, so no group-structure machinery is needed.
     """
-    from .graphs import jacobian_order
-
-    limit = class_cap(cap)
-    order = jacobian_order(g)
-    if order > limit:
-        raise EnumerationCapError(
-            f"{order} classes exceeds the cap of {limit} (set CHIPFIRE_CLASS_CAP to raise)")
+    order = _check_cap(g, cap)
     qi = g.index(g.resolve(q)) if q is not None else 0
     n = len(g.vertices)
     gens = []

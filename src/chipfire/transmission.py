@@ -3,29 +3,82 @@ over the marks, submodularity sweeps, torsion order, transmission permutations,
 k-general transmission certification, non-recurrence, and Weierstrass
 partitions.
 
-Rank queries go through the closed-form tuple calculus on graphs built as
-bananas and through the generic burning/descent engine otherwise; the two
-backends are pinned to each other by the oracle tests.
+Nearly everything here walks the degree-0 class group, and ``_engine`` picks
+its encoding once per graph: reduced strand tuples with the closed-form rank
+on graphs built as bananas, base-reduced vertex vectors with burning and rank
+descent otherwise.  Either way the walks see the same five operations (linear
+coordinates, canonical key, rank, one key per class, divisor of a key), and
+the two encodings are pinned to each other by the oracle tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple
 
 from . import banana as _bn
-from .divisors import (Divisor, _from_vec, _reduce_vec, _vec, class_cap,
+from .divisors import (Divisor, _check_cap, _from_vec, _reduce_vec, _vec,
                        enumerate_jacobian, rank)
-from .errors import (AlgorithmError, DegenerateMarksError, EnumerationCapError,
-                     InvalidGraphError, NonSubmodularError)
+from .errors import (AlgorithmError, DegenerateMarksError, InvalidGraphError,
+                     NonSubmodularError)
 from .graphs import Graph, MarkedGraph, jacobian_order
 from .perms import EafPerm, inv_k
 
 
+class _Engine(NamedTuple):
+    """One encoding of the degree-0 class group of a graph g.
+
+    raw(g, d) gives linear coordinates of a divisor, reduce(g, raw) the
+    canonical key of a degree-0 class, rank(g, raw, degree) the rank of the
+    class at that degree, reps(g, cap) one key per class and divisor(g, key)
+    a divisor of the class.
+    """
+
+    raw: Callable[[Graph, Divisor], list[int]]
+    reduce: Callable[[Graph, list[int]], tuple]
+    rank: Callable[[Graph, list[int], int], int]
+    reps: Callable[[Graph, int | None], Iterator[tuple]]
+    divisor: Callable[[Graph, tuple], Divisor]
+
+
+def _reduced_vector(g: Graph, raw: list[int]) -> tuple:
+    work = list(raw)
+    _reduce_vec(g, work, 0)
+    return tuple(work)
+
+
+_TUPLES = _Engine(
+    lambda g, d: _bn._raw_entries(g.banana, d),
+    lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
+    lambda g, raw, degree: _bn.rank_entries(g.banana, raw, degree),
+    lambda g, cap: _bn._reduced_tuples(g.banana.lengths),
+    lambda g, key: _bn.tuple_to_reduced_divisor(
+        _bn.BananaTuple(g.banana, key), 0).to_divisor(g.banana))
+
+_VECTORS = _Engine(
+    _vec,
+    _reduced_vector,
+    lambda g, raw, degree: rank(g, _from_vec(g, raw)),
+    lambda g, cap: (tuple(_vec(g, d)) for d in enumerate_jacobian(g, cap=cap)),
+    _from_vec)
+
+
+def _engine(g: Graph) -> _Engine:
+    """Reduced strand tuples on bananas, base-reduced vectors otherwise."""
+    return _VECTORS if g.banana is None else _TUPLES
+
+
+def _walk(g: Graph, eng: _Engine, key: tuple, step: list[int]) -> Iterator[tuple]:
+    """key, key + step, key + 2*step, ... as canonical keys."""
+    while True:
+        yield key
+        key = eng.reduce(g, [c + s for c, s in zip(key, step)])
+
+
 def _class_rank(g: Graph, d: Divisor) -> int:
-    if g.banana is not None:
-        return _bn.class_rank(g, d)
-    return rank(g, d)
+    eng = _engine(g)
+    return eng.rank(g, eng.raw(g, d), d.degree)
 
 
 class SubmodularityVerdict(NamedTuple):
@@ -90,31 +143,16 @@ class KgtCertificate:
 def _twist_rank_fn(mg: MarkedGraph, d: Divisor) -> Callable[[int, int], int]:
     """Memoized (a, b) -> r(D + a*u - b*v)."""
     g = mg.graph
+    eng = _engine(g)
+    base, du, dv = (eng.raw(g, x) for x in (d, Divisor.at(mg.u), Divisor.at(mg.v)))
+    deg0 = d.degree
     cache: dict[tuple[int, int], int] = {}
-    if g.banana is not None:
-        spec = g.banana
-        base = _bn._raw_entries(spec, d)
-        deg0 = d.degree
-        au, iu = spec.position(mg.u)
-        av, iv = spec.position(mg.v)
-
-        def r(a: int, b: int) -> int:
-            val = cache.get((a, b))
-            if val is None:
-                raw = list(base)
-                raw[au] += a * iu
-                raw[av] -= b * iv
-                val = _bn.rank_entries(spec, raw, deg0 + a - b)
-                cache[(a, b)] = val
-            return val
-        return r
-
-    du, dv = Divisor.at(mg.u), Divisor.at(mg.v)
 
     def r(a: int, b: int) -> int:
         val = cache.get((a, b))
         if val is None:
-            val = rank(g, d + a * du - b * dv)
+            raw = [x + a * y - b * z for x, y, z in zip(base, du, dv)]
+            val = eng.rank(g, raw, deg0 + a - b)
             cache[(a, b)] = val
         return val
     return r
@@ -200,56 +238,22 @@ def twist_orbit(mg: MarkedGraph, d: Divisor, degree: int) -> TwistOrbit:
     return TwistOrbit(d, degree, reps)
 
 
-def _check_cap(g: Graph, cap: int | None) -> int:
-    limit = class_cap(cap)
-    order = jacobian_order(g)
-    if order > limit:
-        raise EnumerationCapError(
-            f"{order} classes exceeds the cap of {limit} (set CHIPFIRE_CLASS_CAP to raise)")
-    return order
-
-
 def _class_reps(g: Graph, cap: int | None) -> Iterator[tuple]:
-    """Degree-0 class representatives: reduced tuples on bananas, reduced
-    coefficient vectors otherwise."""
+    """One canonical degree-0 key per class."""
     _check_cap(g, cap)
-    if g.banana is not None:
-        yield from _bn._reduced_tuples(g.banana.lengths)
-    else:
-        for d in enumerate_jacobian(g, cap=cap):
-            yield tuple(_vec(g, d))
+    yield from _engine(g).reps(g, cap)
 
 
 def _rep_divisor(g: Graph, rep: tuple) -> Divisor:
-    if g.banana is not None:
-        t = _bn.BananaTuple(g.banana, rep)
-        return _bn.tuple_to_reduced_divisor(t, 0).to_divisor(g.banana)
-    return _from_vec(g, rep)
+    return _engine(g).divisor(g, rep)
 
 
 def _orbit_keys(mg: MarkedGraph, rep: tuple, k: int) -> list[tuple]:
     """All k reduced keys in rep's orbit under repeatedly adding u - v."""
     g = mg.graph
-    keys = [rep]
-    if g.banana is not None:
-        spec = g.banana
-        au, iu = spec.position(mg.u)
-        av, iv = spec.position(mg.v)
-        step = [0] * len(spec.lengths)
-        step[au] += iu
-        step[av] -= iv
-        cur = rep
-        for _ in range(k - 1):
-            cur = _bn._reduce_entries(spec.lengths, [c + s for c, s in zip(cur, step)])
-            keys.append(cur)
-        return keys
-    step = _vec(g, Divisor.at(mg.u) - Divisor.at(mg.v))
-    cur = list(rep)
-    for _ in range(k - 1):
-        cur = [c + s for c, s in zip(cur, step)]
-        _reduce_vec(g, cur, 0)
-        keys.append(tuple(cur))
-    return keys
+    eng = _engine(g)
+    step = eng.raw(g, Divisor.at(mg.u) - Divisor.at(mg.v))
+    return list(islice(_walk(g, eng, rep, step), k))
 
 
 def all_submodular(mg: MarkedGraph, cap: int | None = None) -> SubmodularityVerdict:
@@ -275,24 +279,16 @@ def _ordered_orbit_reps(mg: MarkedGraph, k: int, cap: int | None) -> Iterator[Di
     extremal permutations, so failing graphs fail fast.
     """
     g = mg.graph
-    seen: set[tuple] = set()
-
-    def claim(rep: tuple) -> bool:
-        if rep in seen:
-            return False
-        seen.update(_orbit_keys(mg, rep, k))
-        return True
-
+    eng = _engine(g)
+    heads = []
     if g.banana is not None:
-        spec = g.banana
-        head_raw = [0] * len(spec.lengths)
-        head_raw[0] = spec.genus * spec.lengths[0]   # g * (R - L)
-        head = _bn._reduce_entries(spec.lengths, head_raw)
-        if claim(head):
-            yield _rep_divisor(g, head)
-    for rep in _class_reps(g, cap):
-        if claim(rep):
-            yield _rep_divisor(g, rep)
+        hubs = Divisor.at(g.banana.right) - Divisor.at(g.banana.left)
+        heads.append(eng.reduce(g, eng.raw(g, g.genus * hubs)))
+    seen: set[tuple] = set()
+    for rep in chain(heads, _class_reps(g, cap)):
+        if rep not in seen:
+            seen.update(_orbit_keys(mg, rep, k))
+            yield eng.divisor(g, rep)
 
 
 def kgt_check(mg: MarkedGraph, cap: int | None = None,
@@ -365,29 +361,16 @@ def non_recurrent(g: Graph, d0: Divisor) -> bool:
 
 
 def _class_order(g: Graph, d0: Divisor) -> int:
-    if g.banana is not None:
-        spec = g.banana
-        step = _bn._raw_entries(spec, d0)
-        zero = tuple([0] * len(spec.lengths))
-        cur = _bn._reduce_entries(spec.lengths, step)
-        n = 1
-        while cur != zero:
-            cur = _bn._reduce_entries(spec.lengths, [c + s for c, s in zip(cur, step)])
-            n += 1
-        return n
-    step = _vec(g, d0)
-    zero = tuple([0] * len(g.vertices))
-    work = list(step)
-    _reduce_vec(g, work, 0)
-    n = 1
+    """Order of the degree-0 class of d0: the first n with n*d0 ~ 0."""
+    eng = _engine(g)
+    step = eng.raw(g, d0)
+    zero = (0,) * len(step)   # the key of the zero class in both encodings
     bound = jacobian_order(g)
-    while tuple(work) != zero:
-        work = [c + s for c, s in zip(work, step)]
-        _reduce_vec(g, work, 0)
-        n += 1
-        if n > bound:
+    for n, key in enumerate(_walk(g, eng, eng.reduce(g, step), step), 1):
+        if key == zero:
+            return n
+        if n >= bound:
             raise AlgorithmError("order iteration exceeded the class count")
-    return n
 
 
 def weierstrass_partition(g: Graph, v: str, d: Divisor) -> WeierstrassPartition:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chipfire.cli import run_command
+from chipfire.cli import _COMMANDS, run_command
 from chipfire.errors import SpecParseError
 from chipfire.specfile import parse_spec
 
@@ -187,6 +187,19 @@ def test_cli_delta_fig6_huge_twist(tmp_path, capsys):
     assert values[0] == values[1]
 
 
+def test_cli_rank_banana_huge_twist(tmp_path, capsys):
+    # rank of 5*s0.1 + 3*10^6 (u - v) on banana 3 3 3 3 (torsion 6) matches
+    # the rank at n mod 6
+    results = []
+    for n in (3 * 10 ** 6, 3 * 10 ** 6 % 6):
+        p = tmp_path / f"b3333-{n}.graph"
+        p.write_text(f"banana 3 3 3 3\nmark u s0.0\nmark v s1.2\n"
+                     f"divisor s0.1:5 s0.0:{n} s1.2:{-n}\n")
+        assert run_command(["rank", str(p), "--json"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+
+
 def test_cli_bn(files, tmp_path, capsys):
     hyper = tmp_path / "hyper.graph"
     hyper.write_text("banana 1 1 1 1\n")
@@ -272,12 +285,25 @@ def test_cli_class_cap_env(tmp_path, monkeypatch, capsys):
     assert run_command(["kgt", str(p)]) in (0, 1)
 
 
-def test_cli_threads_flag(files, capsys):
-    assert run_command(["torsion", files["theta414.graph"], "--threads", "4"]) == 0
-    out4 = capsys.readouterr().out
-    assert run_command(["torsion", files["theta414.graph"], "--threads", "1"]) == 0
-    assert capsys.readouterr().out == out4
-    assert run_command(["torsion", files["theta414.graph"], "--threads", "0"]) == 2
+def test_cli_threads_flag_rejected(files, capsys):
+    # --threads did nothing and was removed; argparse now rejects it
+    with pytest.raises(SystemExit) as exc:
+        run_command(["torsion", files["theta414.graph"], "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError, OverflowError])
+def test_cli_resource_errors_exit_2(files, monkeypatch, capsys, error):
+    # running out of stack, memory or float range is an error, not a
+    # failure with a witness
+    def boom(args, doc, out):
+        raise error("simulated")
+    monkeypatch.setitem(_COMMANDS, "torsion", boom)
+    assert run_command(["torsion", files["theta414.graph"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.__name__}: simulated\n"
 
 
 # ---------------------------------------------------------------------------

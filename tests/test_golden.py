@@ -11,7 +11,7 @@ intended change of output:
 
 import io
 import json
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -22,12 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 MANIFEST = GOLDEN / "manifest.json"
 
-# command label -> extra arguments
-COMMANDS = {
-    "rank": [], "reduce": [], "tau": [], "delta": [], "submodular": [],
-    "torsion": [], "kgt": [], "bn": [], "bn-marked": None, "census": [],
-    "certify-chain": [], "classify": [],
-}
+COMMANDS = ("rank", "reduce", "tau", "delta", "submodular", "torsion", "kgt",
+            "bn", "bn-marked", "census", "certify-chain", "classify")
 WITNESS_SOURCES = ("submodular", "tau", "kgt", "bn", "bn-marked", "classify")
 
 # input -> (vertex for bn --marked, labels left out because they are slow)
@@ -53,7 +49,7 @@ def _argv(name: str, label: str) -> list[str]:
     if label.startswith("verify-witness@"):
         source = GOLDEN / f"{name}.{label.split('@', 1)[1]}.json"
         return ["verify-witness", path, str(source), "--json"]
-    return [label, path, "--json"] + COMMANDS[label]
+    return [label, path, "--json"]
 
 
 def _cases(verify: bool = True) -> list[tuple[str, str]]:
@@ -68,60 +64,43 @@ def _cases(verify: bool = True) -> list[tuple[str, str]]:
     return cases
 
 
-def _run(name: str, label: str, capsys) -> dict:
-    capsys.readouterr()
-    code = run_command(_argv(name, label))
-    captured = capsys.readouterr()
-    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+def _run(name: str, label: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(_argv(name, label))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("name,label", _cases(), ids=lambda x: x)
-def test_golden_output(name, label, capsys):
+def test_golden_output(name, label):
     manifest = json.loads(MANIFEST.read_text())
     key = f"{name}.{label}"
-    got = _run(name, label, capsys)
+    got = _run(name, label)
     path = GOLDEN / f"{key}.json"
     assert got["stdout"] == (path.read_text() if path.exists() else "")
     assert {"exit": got["exit"], "stderr": got["stderr"]} == manifest[key]
 
 
-class _Capture:
-    """Minimal stand-in for pytest's capsys when recording from the shell."""
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        sys.stdout.seek(0), sys.stdout.truncate()
-        sys.stderr.seek(0), sys.stderr.truncate()
-        return type("Captured", (), {"out": out, "err": err})
-
-
-def record() -> None:
-    manifest = {}
-    # witness sources first: verify-witness reads their recordings
-    base = _cases(verify=False)
-    for name, label in base:
-        _record_case(name, label, manifest)
-    for name, label in _cases():
-        if (name, label) not in base:
-            _record_case(name, label, manifest)
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-
-
-def _record_case(name: str, label: str, manifest: dict) -> None:
-    real = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        got = _run(name, label, _Capture())
-    finally:
-        sys.stdout, sys.stderr = real
+def _record(name: str, label: str, manifest: dict) -> None:
     key = f"{name}.{label}"
+    got = _run(name, label)
     path = GOLDEN / f"{key}.json"
     if got["stdout"]:
         path.write_text(got["stdout"])
     elif path.exists():
         path.unlink()
     manifest[key] = {"exit": got["exit"], "stderr": got["stderr"]}
-    print(key, got["exit"])
+
+
+def record() -> None:
+    manifest: dict = {}
+    for case in _cases(verify=False):
+        _record(*case, manifest)
+    # verify-witness cases exist only for the sources just recorded
+    for case in _cases():
+        if ".".join(case) not in manifest:
+            _record(*case, manifest)
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -477,3 +477,19 @@ def test_genus2_inversion_count_formula():
                                for e in twist_orbit(mg, d, 0).representatives)
                 corr = 1 if zero_hit and linear_equivalent(g, marks, kdiv) else 0
                 assert inv_k(tau) == eff + corr
+
+
+def test_class_rank_banana_huge_twist():
+    # banana 3 3 3 3 marked s0.0/s1.2 has torsion 6, so adding n(u - v) to D
+    # leaves the rank at its value for n mod 6.  `chipfire rank` answers
+    # through _class_rank; the generic reduction would stop on its
+    # firing-round guard at this n
+    mg = MarkedGraph(build_banana([3, 3, 3, 3]), "s0.0", "s1.2")
+    g = mg.graph
+    k = torsion_order(mg)
+    assert k == 6
+    d0 = Divisor.at(mg.u) - Divisor.at(mg.v)
+    d = Divisor({"s0.1": 5})
+    n = 3 * 10 ** 6
+    small = rank(g, d + (n % k) * d0, rank_determining_set="full")
+    assert _class_rank(g, d + n * d0) == small
