@@ -36,6 +36,20 @@ INPUT_CASES = {
     "cycle31.graph": ("R", set()),
     "k4.graph": ("a", set()),
     "example110.chain": ("L", set()),
+    # one input per mark placement that classify tells apart
+    "oneoff3222.graph": ("L", set()),
+    "kgt2211.graph": ("L", set()),
+    "surprise4211.graph": ("L", set()),
+    "surprise5211.graph": ("L", set()),
+    "bothoffmin4444.graph": ("L", set()),
+    "bothoff3322.graph": ("L", set()),
+    "samestrand3333.graph": ("L", set()),
+    "theta332a.graph": ("L", set()),
+    "theta332b.graph": ("L", set()),
+    "hubs414.graph": ("L", set()),
+    "sameloop34.graph": ("a", set()),
+    "equal33.graph": ("a", set()),
+    "unequal43.graph": ("a", set()),
 }
 # fig6 witnesses are left out: the generic recomputation takes minutes
 NO_VERIFY = {"fig6.graph"}
