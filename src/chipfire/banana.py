@@ -175,9 +175,19 @@ def banana_rank(a: int, b: int, e: int, g: int) -> int:
     return min(a, b) + max(0, max(a, b) - (g - e))
 
 
+def _reduced_rank(lengths: tuple[int, ...], entries, degree: int) -> int:
+    """Rank at a degree of the class with reduced tuple entries: its
+    base-reduced divisor has one chip on the right hub per full entry, one
+    strand chip per other nonzero entry and the rest on the left hub."""
+    nonzero = sum(1 for a in entries if a)
+    full = sum(1 for a, n in zip(entries, lengths) if a == n)
+    return banana_rank(degree - nonzero, full, nonzero - full, len(lengths) - 1)
+
+
 def rank_of_tuple(t: BananaTuple, degree: int) -> int:
-    red = tuple_to_reduced_divisor(t, degree)
-    return banana_rank(red.left, red.right, red.excess, t.spec.genus)
+    if not t.is_reduced():
+        raise WrongShapeError("tuple must be reduced first")
+    return _reduced_rank(t.spec.lengths, t.entries, degree)
 
 
 def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
@@ -190,8 +200,7 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
 
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
     """Rank of the class with unreduced entry vector raw_entries at a degree."""
-    t = BananaTuple(spec, _reduce_entries(spec.lengths, raw_entries), degree)
-    return rank_of_tuple(t, degree)
+    return _reduced_rank(spec.lengths, _reduce_entries(spec.lengths, raw_entries), degree)
 
 
 def class_rank(g: Graph, d: Divisor) -> int:

@@ -5,6 +5,9 @@ genus-2 classification and its higher-genus banana counterpart, and the chain
 criterion that turns per-component transmission certificates into a generality
 certificate for the glued graph.
 
+Theta and banana classification share one reading of where the marks sit
+(``_mark_case``) and one interval formula for marks on a common strand.
+
 Theorem-backed paths only ever return CERTIFIED_GENERAL or INCONCLUSIVE:
 sufficient conditions must not over-claim.  NOT_GENERAL always carries an
 explicit witness that the hidden verify-witness CLI path can re-check.
@@ -29,6 +32,9 @@ from .transmission import (_class_rank, _class_reps, _rep_divisor,
 CERTIFIED_GENERAL = "CERTIFIED_GENERAL"
 NOT_GENERAL = "NOT_GENERAL"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# classify_banana re-checks submodularity by a full sweep up to this many classes
+_VERIFY_CLASSES = 50_000
 
 
 @dataclass(frozen=True)
@@ -183,13 +189,37 @@ def banana_strands(g: Graph) -> list[list[str]] | None:
     return strands
 
 
-def _mark_positions(strands: list[list[str]], w: str) -> list[tuple[int, int]]:
-    out = []
-    for alpha, path in enumerate(strands):
-        for i, name in enumerate(path):
-            if name == w:
-                out.append((alpha, i))
-    return out
+def _mark_case(strands: list[list[str]], u: str,
+               v: str) -> tuple[str, tuple[int, int], tuple[int, int]]:
+    """Where two distinct marks sit on a banana: the case and the
+    (strand, offset) of u and of v.
+
+    "hubs" is the hub pair, "one-off" a hub with the vertex one step short of
+    the other hub, and "same-strand" any other pair on one strand; these
+    three place both marks on the lowest-numbered strand they share.
+    "distinct" has the marks inside two different strands.
+    """
+    pos_u, pos_v = ({alpha: path.index(w) for alpha, path in enumerate(strands)
+                     if w in path} for w in (u, v))
+    shared = pos_u.keys() & pos_v.keys()
+    if not shared:
+        (at_u,), (at_v,) = pos_u.items(), pos_v.items()
+        return "distinct", at_u, at_v
+    alpha = min(shared)
+    i, j = pos_u[alpha], pos_v[alpha]
+    n = len(strands[alpha]) - 1
+    ends = (min(i, j), max(i, j))
+    case = {(0, n): "hubs", (0, n - 1): "one-off", (1, n): "one-off"}.get(ends, "same-strand")
+    return case, (alpha, i), (alpha, j)
+
+
+def _same_strand_twists(path: list[str], i: int, j: int) -> list[Divisor]:
+    """The interval formula: degree-2 divisors with negative second difference
+    when u and v sit at offsets i and j of one strand (none for the hub pair
+    or one-off marks)."""
+    n = len(path) - 1
+    return [Divisor({path[k]: 1}) + Divisor({path[i]: 1})
+            for k in range(max(0, j - i), min(n, j - i + n) + 1) if k not in (n - i, j)]
 
 
 def _two_loops(g: Graph) -> tuple[str, list[list[str]]] | None:
@@ -245,19 +275,11 @@ def theta_nonsubmodular_set(g: Graph, u: str, v: str) -> set[Divisor]:
     u, v = g.resolve(u), g.resolve(v)
     if u == v:
         raise DegenerateMarksError("marks must be distinct")
-    out: set[Divisor] = set()
-    pos_u = dict(_mark_positions(strands, u))
-    pos_v = dict(_mark_positions(strands, v))
-    for alpha in sorted(set(pos_u) & set(pos_v)):
-        path = strands[alpha]
-        n = len(path) - 1
-        i, j = pos_u[alpha], pos_v[alpha]
-        for k in range(max(0, j - i), min(n, j - i + n) + 1):
-            if k == n - i or k == j:
-                continue
-            d = Divisor({path[k]: 1}) + Divisor({path[i]: 1})
-            out.add(_from_vec(g, _reduced_key(g, _vec(g, d), 0)))
-    return out
+    case, (alpha, i), (_, j) = _mark_case(strands, u, v)
+    if case == "distinct":
+        return set()
+    return {_from_vec(g, _reduced_key(g, _vec(g, d), 0))
+            for d in _same_strand_twists(strands[alpha], i, j)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +316,7 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
             return Certificate("KGT", "genus2-classification", {
                 "case": "2", "torsion": torsion_order(mg)})
         others = [x for x in loop if x not in (u, v)]
-        witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others])
+        witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others], None)
         if witness is None:
             raise AlgorithmError("same-loop marking was predicted non-submodular")
         return Certificate("NOT_KGT", "genus2-classification", {
@@ -317,75 +339,47 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
 def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
     g = mg.graph
     u, v = mg.u, mg.v
-    pos_u = dict(_mark_positions(strands, u))
-    pos_v = dict(_mark_positions(strands, v))
-    common = sorted(set(pos_u) & set(pos_v))
-
-    hubs = {strands[0][0], strands[0][-1]}
-    if u in hubs and v in hubs:
-        witness = Divisor({max(hubs): 2})
+    case, (alpha, i), (_, j) = _mark_case(strands, u, v)
+    if case == "hubs":
+        witness = Divisor({max(u, v): 2})
         tau = transmission_permutation(mg, witness)
         return Certificate("NOT_KGT", "genus2-classification", {
             "case": "multivalent-pair", "reason": "inversion-bound",
             "lower_bound": comb(3, 2), "genus": 2, "witness_divisor": witness,
             "witness_permutation": tau, "witness_inversions": inv_k(tau)})
-
-    if common:
-        alpha = common[0]
-        path = strands[alpha]
-        n = len(path) - 1
-        i, j = sorted((pos_u[alpha], pos_v[alpha]))
-        if (i, j) in ((0, n - 1), (1, n)):
-            case = "3a" if (i, j) == (0, n - 1) else "3b"
-            nonrec = recurrence_witness(g, Divisor({u: 1, v: -1}))
-            if nonrec is None:
-                return Certificate("KGT", "genus2-classification", {
-                    "case": case, "non_recurrent": True,
-                    "torsion": torsion_order(mg)})
-            return Certificate("NOT_KGT", "genus2-classification", {
-                "case": case, "non_recurrent": False, "reason": "recurrent",
-                "witness_vertex": nonrec[0],
-                "witness_steps": [nonrec[1], nonrec[2]]})
-        candidates = []
-        i0, j0 = pos_u[alpha], pos_v[alpha]
-        for k in range(max(0, j0 - i0), min(n, j0 - i0 + n) + 1):
-            if k not in (n - i0, j0):
-                candidates.append(Divisor({path[k]: 1}) + Divisor({path[i0]: 1}))
-        witness = _verified_negative(mg, candidates)
+    if case == "same-strand":
+        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j), None)
         if witness is None:
             raise AlgorithmError("same-strand theta marking was predicted non-submodular")
         return Certificate("NOT_KGT", "genus2-classification", {
             "case": "same-strand", "reason": "non-submodular",
             "witness": witness, "delta": delta(mg, witness)})
-
+    # one-off marks are case 3a with a mark on the left hub, 3b on the right
+    case = "3c" if case == "distinct" else "3a" if min(i, j) == 0 else "3b"
     nonrec = recurrence_witness(g, Divisor({u: 1, v: -1}))
     if nonrec is None:
         return Certificate("KGT", "genus2-classification", {
-            "case": "3c", "non_recurrent": True, "torsion": torsion_order(mg)})
+            "case": case, "non_recurrent": True, "torsion": torsion_order(mg)})
     return Certificate("NOT_KGT", "genus2-classification", {
-        "case": "3c", "non_recurrent": False, "reason": "recurrent",
+        "case": case, "non_recurrent": False, "reason": "recurrent",
         "witness_vertex": nonrec[0], "witness_steps": [nonrec[1], nonrec[2]]})
 
 
 def _verified_negative(mg: MarkedGraph, candidates: list[Divisor],
-                       fallback_sweep: bool = True) -> Divisor | None:
+                       cap: int | None) -> Divisor | None:
     """First candidate with negative second difference, else a full-sweep
     witness; None only when every divisor really is submodular."""
     for d in candidates:
         if delta(mg, d) < 0:
             return d
-    if not fallback_sweep:
-        raise AlgorithmError("no non-submodular witness found where one was predicted")
-    verdict = all_submodular(mg)
-    return verdict.witness
+    return all_submodular(mg, cap).witness
 
 
 # ---------------------------------------------------------------------------
 # banana classification (genus >= 3)
 
 
-def classify_banana(mg: MarkedGraph, cap: int | None = None,
-                    verify_classes: int = 50_000) -> Certificate:
+def classify_banana(mg: MarkedGraph, cap: int | None = None) -> Certificate:
     """Sort a twice-marked banana of genus >= 3 into: the one torsion-2 family
     with general transmission, the non-submodular mark placements (witness
     divisor verified), or submodular-but-too-many-inversions (closed-form
@@ -398,41 +392,20 @@ def classify_banana(mg: MarkedGraph, cap: int | None = None,
         raise WrongShapeError("banana classification needs genus >= 3")
     if mg.degenerate:
         raise DegenerateMarksError("marks must be distinct")
-    u, v = mg.u, mg.v
     genus = g.genus
     lengths = [len(p) - 1 for p in strands]
-    pos_u = dict(_mark_positions(strands, u))
-    pos_v = dict(_mark_positions(strands, v))
-    common = sorted(set(pos_u) & set(pos_v))
-    hub_left, hub_right = strands[0][0], strands[0][-1]
-
-    hubs = (hub_left, hub_right)
-    if common:
-        alpha = common[0]
-        path = strands[alpha]
-        n = len(path) - 1
-        i0, j0 = pos_u[alpha], pos_v[alpha]
-        i, j = sorted((i0, j0))
-        if (i, j) == (0, n):
-            return _submodular_not_kgt(mg, _bn.MULTIVALENT_PAIR, [lengths[alpha]]
-                                       + lengths[:alpha] + lengths[alpha + 1:],
-                                       hubs, cap, verify_classes)
-        if (i, j) in ((0, n - 1), (1, n)):
-            reordered = [lengths[alpha]] + lengths[:alpha] + lengths[alpha + 1:]
-            return _submodular_not_kgt(mg, _bn.ONE_OFF, reordered, hubs,
-                                       cap, verify_classes)
-        candidates = []
-        for k in range(max(0, j0 - i0), min(n, j0 - i0 + n) + 1):
-            if k not in (n - i0, j0):
-                candidates.append(Divisor({path[k]: 1}) + Divisor({path[i0]: 1}))
-        witness = _verified_negative(mg, candidates)
+    case, (alpha, i), (beta, j) = _mark_case(strands, mg.u, mg.v)
+    if case in ("hubs", "one-off"):
+        reordered = [lengths[alpha]] + lengths[:alpha] + lengths[alpha + 1:]
+        case = _bn.MULTIVALENT_PAIR if case == "hubs" else _bn.ONE_OFF
+        return _submodular_not_kgt(mg, case, _bn.inversion_lower_bound(case, reordered), cap)
+    if case == "same-strand":
+        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j), cap)
         if witness is None:
-            return _verified_general(mg, "same-strand-surprise", hubs, cap)
+            return _verified_general(mg, "same-strand-surprise", cap)
         return Certificate("NON_SUBMODULAR", "banana-classification", {
             "case": "same-strand", "witness": witness, "delta": delta(mg, witness)})
 
-    (alpha, i) = next(iter(pos_u.items()))
-    (beta, j) = next(iter(pos_v.items()))
     na, nb = lengths[alpha], lengths[beta]
     both_off = (i == 1 and j == nb - 1) or (i == na - 1 and j == 1)
     if both_off:
@@ -446,46 +419,35 @@ def classify_banana(mg: MarkedGraph, cap: int | None = None,
             return Certificate("KGT2", "banana-classification", {
                 "case": "both-off-2-strands", "torsion": 2, "genus": genus,
                 "submodularity_verified": True})
-        reordered = ([lengths[alpha], lengths[beta]]
-                     + [lengths[c] for c in range(len(lengths)) if c not in (alpha, beta)])
-        case = _bn.BOTH_OFF_MIN if min(na, nb) >= genus + 1 else None
-        return _submodular_not_kgt(mg, case, reordered, hubs, cap, verify_classes)
+        if min(na, nb) < genus + 1:
+            return _submodular_not_kgt(mg, "both-off", None, cap)
+        reordered = [na, nb] + [n for c, n in enumerate(lengths) if c not in (alpha, beta)]
+        bound = _bn.inversion_lower_bound(_bn.BOTH_OFF_MIN, reordered)
+        return _submodular_not_kgt(mg, _bn.BOTH_OFF_MIN, bound, cap)
 
-    rev_a, rev_b = na - i, nb - j
+    # Both marks are interior, so every offset below is too.  The family is
+    # closed under reading all strands from the other hub (si -> la - si
+    # swaps the two shapes), so it needs no mirrored copies.
     candidates = []
-    for (sa, si, sb, sj) in ((alpha, i, beta, j), (beta, j, alpha, i),
-                             (alpha, rev_a, beta, rev_b), (beta, rev_b, alpha, rev_a)):
+    for (sa, si, sb) in ((alpha, i, beta), (beta, j, alpha),
+                         (alpha, na - i, beta), (beta, nb - j, alpha)):
         pa, pb = strands[sa], strands[sb]
         la, lb = len(pa) - 1, len(pb) - 1
-        if 1 <= si <= la - 1:
-            candidates.append(Divisor({pa[1]: 1}) + Divisor({pa[si]: 1})
-                              + Divisor({pb[lb - 1]: 1}))
-            candidates.append(Divisor({pa[si]: 1}) + Divisor({pa[la - 1]: 1})
-                              + Divisor({pb[1]: 1}))
-    # reversed-coordinate candidates name actual vertices via the reversal map
-    def reversed_vertex(strand: int, offset: int) -> str:
-        p = strands[strand]
-        return p[len(p) - 1 - offset]
-    extra = []
-    for d in list(candidates):
-        flipped = {}
-        for name, c in d.coeffs.items():
-            positions = _mark_positions(strands, name)
-            s, off = positions[0]
-            flipped[reversed_vertex(s, off)] = flipped.get(reversed_vertex(s, off), 0) + c
-        extra.append(Divisor(flipped))
-    witness = _verified_negative(mg, candidates + extra)
+        candidates.append(Divisor({pa[1]: 1}) + Divisor({pa[si]: 1})
+                          + Divisor({pb[lb - 1]: 1}))
+        candidates.append(Divisor({pa[si]: 1}) + Divisor({pa[la - 1]: 1})
+                          + Divisor({pb[1]: 1}))
+    witness = _verified_negative(mg, candidates, cap)
     if witness is None:
         # a marking the recipe family does not cover but the sweep certifies:
         # a mark in the middle of a length-2 strand leaves every divisor
         # submodular no matter where the other mark sits
-        return _verified_general(mg, "distinct-strands-surprise", hubs, cap)
+        return _verified_general(mg, "distinct-strands-surprise", cap)
     return Certificate("NON_SUBMODULAR", "banana-classification", {
         "case": "distinct-strands", "witness": witness, "delta": delta(mg, witness)})
 
 
-def _verified_general(mg: MarkedGraph, case: str, hubs: tuple[str, str],
-                      cap: int | None) -> Certificate:
+def _verified_general(mg: MarkedGraph, case: str, cap: int | None) -> Certificate:
     """Verdict for an all-submodular marking already verified by a full sweep:
     torsion 2 gives general transmission outright, anything larger is settled
     by a computed witness permutation."""
@@ -494,20 +456,17 @@ def _verified_general(mg: MarkedGraph, case: str, hubs: tuple[str, str],
         return Certificate("KGT2", "banana-classification", {
             "case": case, "torsion": 2, "genus": mg.graph.genus,
             "submodularity_verified": True})
-    return _submodular_not_kgt(mg, None, [], hubs, cap, 0,
-                               case=case, verified=True)
+    return _submodular_not_kgt(mg, case, None, cap, verified=True)
 
 
-def _submodular_not_kgt(mg: MarkedGraph, bound_case: str | None,
-                        reordered_lengths: list[int], hubs: tuple[str, str],
-                        cap: int | None, verify_classes: int,
-                        case: str | None = None,
-                        verified: bool | None = None) -> Certificate:
+def _submodular_not_kgt(mg: MarkedGraph, case: str, bound: int | None,
+                        cap: int | None, verified: bool | None = None) -> Certificate:
+    """Verdict for a marking expected submodular with too many inversions,
+    reported under case with the closed-form lower bound, if any."""
     g = mg.graph
     genus = g.genus
-    bound = (_bn.inversion_lower_bound(bound_case, reordered_lengths)
-             if bound_case is not None else None)
-    hub_left, hub_right = Divisor.at(hubs[0]), Divisor.at(hubs[1])
+    hub_path = banana_strands(g)[0]
+    hub_left, hub_right = Divisor.at(hub_path[0]), Divisor.at(hub_path[-1])
     best_tau = None
     best_div = None
     best_inv = -1
@@ -527,14 +486,14 @@ def _submodular_not_kgt(mg: MarkedGraph, bound_case: str | None,
         best_inv = cert.max_inversions
         best_div = cert.extremal
         best_tau = transmission_permutation(mg, best_div)
-    if verified is None and jacobian_order(g) <= verify_classes:
+    if verified is None and jacobian_order(g) <= _VERIFY_CLASSES:
         sweep = all_submodular(mg, cap)
         if not sweep.ok:
             return Certificate("NON_SUBMODULAR", "banana-classification", {
                 "case": "sweep", "witness": sweep.witness, "delta": sweep.value})
         verified = True
     return Certificate("SUBMODULAR_NOT_KGT", "banana-classification", {
-        "case": case or bound_case or "both-off",
+        "case": case,
         "lower_bound": bound,
         "genus": genus,
         "witness_divisor": best_div,

@@ -9,8 +9,8 @@ vertex double as canonical class representatives throughout the library.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import AlgorithmError, EnumerationCapError, InvalidGraphError
 from .graphs import Graph

@@ -83,15 +83,6 @@ class BananaSpec:
             out.extend(f"s{alpha}.{i}" for i in range(1, n))
         return out
 
-    def strands_through(self, vid: str) -> list[tuple[int, int]]:
-        """All (strand, offset) incarnations of a vertex; hubs lie on every strand."""
-        vid = self.resolve(vid)
-        if vid == self.left:
-            return [(alpha, 0) for alpha in range(len(self.lengths))]
-        if vid == self.right:
-            return [(alpha, n) for alpha, n in enumerate(self.lengths)]
-        return [self.position(vid)]
-
 
 def _canon_edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)

@@ -18,8 +18,10 @@ from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple
 
 from . import banana as _bn
-from .divisors import (Divisor, _check_cap, _from_vec, _reduce_vec, _vec,
-                       enumerate_jacobian, rank)
+# _reduce_vec is unused here but stays importable by this path, where
+# bench/tracer.py rebinds it
+from .divisors import (Divisor, _check_cap, _from_vec, _reduce_vec,  # noqa: F401
+                       _reduced_key, _vec, enumerate_jacobian, rank)
 from .errors import (AlgorithmError, DegenerateMarksError, InvalidGraphError,
                      NonSubmodularError)
 from .graphs import Graph, MarkedGraph, jacobian_order
@@ -42,12 +44,6 @@ class _Engine(NamedTuple):
     divisor: Callable[[Graph, tuple], Divisor]
 
 
-def _reduced_vector(g: Graph, raw: list[int]) -> tuple:
-    work = list(raw)
-    _reduce_vec(g, work, 0)
-    return tuple(work)
-
-
 _TUPLES = _Engine(
     lambda g, d: _bn._raw_entries(g.banana, d),
     lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
@@ -58,7 +54,7 @@ _TUPLES = _Engine(
 
 _VECTORS = _Engine(
     _vec,
-    _reduced_vector,
+    lambda g, raw: _reduced_key(g, raw, 0),
     lambda g, raw, degree: rank(g, _from_vec(g, raw)),
     lambda g, cap: (tuple(_vec(g, d)) for d in enumerate_jacobian(g, cap=cap)),
     _from_vec)
@@ -165,8 +161,29 @@ def delta(mg: MarkedGraph, d: Divisor) -> int:
         u = Divisor.at(mg.u)
         return (_class_rank(g, d) - 2 * _class_rank(g, d - u)
                 + _class_rank(g, d - 2 * u))
+    return _second_difference(_twist_rank_fn(mg, d), 0, 0)
+
+
+def _second_difference(r: Callable[[int, int], int], a: int, b: int) -> int:
+    """The second difference of the twist ranks r at D + a*u - b*v."""
+    return r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
+
+
+def _second_differences(mg: MarkedGraph, d: Divisor,
+                        k: int) -> Iterator[tuple[int, int, int]]:
+    """(a, b, second difference at D + a*u - b*v) for each window slot b in
+    0..k-1 and each a in its Riemann-Roch range.
+
+    Only twist degrees 0..2g can carry a nonzero value (the four ranks cancel
+    outside by Riemann-Roch), and within a degree only k twist classes exist,
+    so this grid is finite and complete.
+    """
+    genus = mg.graph.genus
     r = _twist_rank_fn(mg, d)
-    return r(0, 0) - r(-1, 0) - r(0, 1) + r(-1, 1)
+    deg = d.degree
+    for b in range(k):
+        for a in range(b - deg, b - deg + 2 * genus + 1):
+            yield a, b, _second_difference(r, a, b)
 
 
 def _twist_divisor(mg: MarkedGraph, d: Divisor, a: int, b: int) -> Divisor:
@@ -174,21 +191,10 @@ def _twist_divisor(mg: MarkedGraph, d: Divisor, a: int, b: int) -> Divisor:
 
 
 def is_submodular_divisor(mg: MarkedGraph, d: Divisor) -> SubmodularityVerdict:
-    """Check the second difference on every twist of d.
-
-    Only twist degrees 0..2g can carry a nonzero value (the four ranks cancel
-    outside by Riemann-Roch), and within a degree only k twist classes exist,
-    so the sweep below is finite and complete.
-    """
-    k = torsion_order(mg)
-    g = mg.graph.genus
-    r = _twist_rank_fn(mg, d)
-    deg = d.degree
-    for b in range(k):
-        for a in range(b - deg, b - deg + 2 * g + 1):
-            val = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-            if val < 0:
-                return SubmodularityVerdict(False, _twist_divisor(mg, d, a, b), val)
+    """Check the second difference on every twist of d."""
+    for a, b, val in _second_differences(mg, d, torsion_order(mg)):
+        if val < 0:
+            return SubmodularityVerdict(False, _twist_divisor(mg, d, a, b), val)
     return SubmodularityVerdict(True, None, None)
 
 
@@ -209,24 +215,16 @@ def transmission_permutation(mg: MarkedGraph, d: Divisor) -> EafPerm:
     if mg.degenerate:
         raise DegenerateMarksError("transmission is undefined for coincident marks")
     k = torsion_order(mg)
-    g = mg.graph.genus
-    r = _twist_rank_fn(mg, d)
-    deg = d.degree
-    window = []
-    for b in range(k):
-        hit = None
-        for a in range(b - deg, b - deg + 2 * g + 1):
-            val = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-            if val == 0:
-                continue
-            if val < 0:
-                raise NonSubmodularError(_twist_divisor(mg, d, a, b), val)
-            if val > 1 or hit is not None:
-                raise NonSubmodularError(_twist_divisor(mg, d, a, b), val)
-            hit = a
-        if hit is None:
-            raise AlgorithmError(f"no window value found at slot {b}; this is a bug")
-        window.append(hit)
+    window: list[int | None] = [None] * k
+    for a, b, val in _second_differences(mg, d, k):
+        if val == 0:
+            continue
+        if val != 1 or window[b] is not None:
+            raise NonSubmodularError(_twist_divisor(mg, d, a, b), val)
+        window[b] = a
+    if None in window:
+        raise AlgorithmError(
+            f"no window value found at slot {window.index(None)}; this is a bug")
     return EafPerm(k, tuple(window))
 
 

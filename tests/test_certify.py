@@ -11,7 +11,8 @@ from chipfire.certify import (CERTIFIED_GENERAL, INCONCLUSIVE, NOT_GENERAL,
                               divisor_census, rho, theta_nonsubmodular_set)
 from chipfire.divisors import (Divisor, _from_vec, _reduced_key, _vec,
                                enumerate_jacobian, rank)
-from chipfire.errors import DegenerateMarksError, WrongShapeError
+from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
+                             WrongShapeError)
 from chipfire.graphs import (MarkedGraph, build_banana, build_cycle,
                              build_general, build_theta, chain_glue,
                              vertex_glue)
@@ -262,6 +263,13 @@ def test_classify_banana_midpoint_two_strand_family():
     assert cert.verdict == "SUBMODULAR_NOT_KGT"
     assert cert.evidence["witness_inversions"] > 3
     assert not kgt_check(mg).passed
+
+
+def test_classify_banana_fallback_sweep_honours_cap():
+    # no recipe candidate is negative here, so classify sweeps all 27 classes
+    mg = MarkedGraph(build_banana([5, 2, 1, 1]), "s0.2", "s1.1")
+    with pytest.raises(EnumerationCapError):
+        classify_banana(mg, cap=5)
 
 
 def test_classify_banana_wrong_shape():
