@@ -50,6 +50,12 @@ INPUT_CASES = {
     "sameloop34.graph": ("a", set()),
     "equal33.graph": ("a", set()),
     "unequal43.graph": ("a", set()),
+    # graph specs that classify must recognise by shape: a banana with
+    # parallel hub edges, a theta, a double-edge loop, a theta with a loop
+    "bothoff3211.graph": ("h", set()),
+    "samestrand332.graph": ("p", set()),
+    "doubleloop.graph": ("w", set()),
+    "thetaloop.graph": ("h", set()),
 }
 # fig6 witnesses are left out: the generic recomputation takes minutes
 NO_VERIFY = {"fig6.graph"}
