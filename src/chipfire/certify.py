@@ -7,6 +7,7 @@ certificate for the glued graph.
 
 Theta and banana classification share one reading of where the marks sit
 (``_mark_case``) and one interval formula for marks on a common strand.
+Banana strands and two loops at a vertex are both read off ``_branch_walks``.
 
 Theorem-backed paths only ever return CERTIFIED_GENERAL or INCONCLUSIVE:
 sufficient conditions must not over-claim.  NOT_GENERAL always carries an
@@ -141,15 +142,19 @@ def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
 # shape recognition helpers
 
 
-def _valence2_path(g: Graph, hub: str, start: str) -> list[str]:
-    """The walk hub, start, ... that goes on through valence-2 vertices and
-    stops at the first vertex of another valence."""
-    path = [hub, start]
-    while g.valence(path[-1]) == 2:
-        nxts = [g.vertices[w] for w, m in g._adj[g.index(path[-1])] for _ in range(m)]
-        nxts.remove(path[-2])
-        path.append(nxts[0])
-    return path
+def _branch_walks(g: Graph, hub: str) -> list[list[str]]:
+    """The walks hub, x, ... through valence-2 vertices to the first vertex of
+    another valence, one per edge out of hub in sorted adjacency order."""
+    walks = []
+    for nbr, mult in sorted(g._adj[g.index(hub)]):
+        for _ in range(mult):
+            path = [hub, g.vertices[nbr]]
+            while g.valence(path[-1]) == 2:
+                nxts = [g.vertices[w] for w, m in g._adj[g.index(path[-1])] for _ in range(m)]
+                nxts.remove(path[-2])
+                path.append(nxts[0])
+            walks.append(path)
+    return walks
 
 
 def banana_strands(g: Graph) -> list[list[str]] | None:
@@ -166,24 +171,11 @@ def banana_strands(g: Graph) -> list[list[str]] | None:
     if len(hubs) != 2:
         return None
     h1, h2 = hubs
-    strands: list[list[str]] = []
-    used_interior: set[str] = set()
-    for nbr, mult in sorted(g._adj[g.index(h1)]):
-        start = g.vertices[nbr]
-        if start == h2:
-            strands.extend([h1, h2] for _ in range(mult))
-            continue
-        if start in used_interior:
-            continue
-        path = _valence2_path(g, h1, start)
-        if path[-1] != h2:
-            return None
-        used_interior.update(path[1:-1])
-        strands.append(path)
-    covered = {v for path in strands for v in path}
-    if covered != set(g.vertices):
+    strands = _branch_walks(g, h1)
+    if any(path[-1] != h2 for path in strands):
         return None
-    if len(strands) != g.valence(h1) or len(strands) != g.valence(h2):
+    # the walks are disjoint inside, so covering every vertex leaves no other edge
+    if {v for path in strands for v in path} != set(g.vertices):
         return None
     strands.sort(key=lambda p: (len(p), p))
     return strands
@@ -222,40 +214,25 @@ def _same_strand_twists(path: list[str], i: int, j: int) -> list[Divisor]:
             for k in range(max(0, j - i), min(n, j - i + n) + 1) if k not in (n - i, j)]
 
 
-def _two_loops(g: Graph) -> tuple[str, list[list[str]]] | None:
-    """Decompose a chain of two loops into (shared vertex, two cycles)."""
+def _two_loops(g: Graph) -> list[list[str]] | None:
+    """The two cycles of a chain of two loops at w, each read from w out
+    through its smaller neighbour."""
     hubs = [v for i, v in enumerate(g.vertices) if g._val[i] >= 3]
     if len(hubs) != 1 or g.valence(hubs[0]) != 4:
         return None
     w = hubs[0]
-    loops: list[list[str]] = []
-    used: set[str] = set()
-    for nbr, mult in sorted(g._adj[g.index(w)]):
-        start = g.vertices[nbr]
-        if start in used:
-            continue
-        if mult == 2:
-            loops.append([w, start])
-            used.add(start)
-            continue
-        if mult != 1:
-            return None
-        path = _valence2_path(g, w, start)
-        if path[-1] != w:
-            return None
-        used.update(path[1:-1])
-        loops.append(path[:-1])
-    if len(loops) != 2:
+    walks = _branch_walks(g, w)
+    if any(walk[-1] != w for walk in walks):
         return None
-    if {v for loop in loops for v in loop} != set(g.vertices):
-        return None
-    return w, loops
+    # each loop is walked both ways, a double edge twice the same way
+    loops = {walk[1]: walk[:-1] for walk in walks if walk[1] <= walk[-2]}
+    return list(loops.values())
 
 
-def _cycle_arc_torsion(loop: list[str], mark: str, shared: str) -> int:
-    """Torsion order of a cycle marked at (mark, shared): len / gcd(arc, len)."""
+def _cycle_arc_torsion(loop: list[str], mark: str) -> int:
+    """Torsion order of a cycle marked at (mark, loop[0]): len / gcd(arc, len)."""
     length = len(loop)
-    a = loop.index(mark)  # distance from shared along one arc
+    a = loop.index(mark)  # distance from loop[0] along one arc
     return length // gcd(a, length)
 
 
@@ -303,27 +280,25 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
     if strands is not None:
         return _classify_theta(mg, strands)
 
-    two = _two_loops(g)
-    if two is None:
+    loops = _two_loops(g)
+    if loops is None:
         raise WrongShapeError("genus-2 graph is neither a theta nor two loops")
-    w, loops = two
-    shared_u = [idx for idx, loop in enumerate(loops) if u in loop]
-    shared_v = [idx for idx, loop in enumerate(loops) if v in loop]
-    common = set(shared_u) & set(shared_v)
-    if common:
-        loop = loops[min(common)]
-        if len(loop) == 2 and {u, v} == set(loop):
-            return Certificate("KGT", "genus2-classification", {
-                "case": "2", "torsion": torsion_order(mg)})
-        others = [x for x in loop if x not in (u, v)]
-        witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others], None)
-        if witness is None:
-            raise AlgorithmError("same-loop marking was predicted non-submodular")
-        return Certificate("NOT_KGT", "genus2-classification", {
-            "case": "same-loop", "reason": "non-submodular", "witness": witness,
-            "delta": delta(mg, witness)})
-    k1 = _cycle_arc_torsion(loops[shared_u[0]], u, w)
-    k2 = _cycle_arc_torsion(loops[shared_v[0]], v, w)
+    for loop in loops:
+        if u in loop and v in loop:
+            if len(loop) == 2:
+                return Certificate("KGT", "genus2-classification", {
+                    "case": "2", "torsion": torsion_order(mg)})
+            others = [x for x in loop if x not in (u, v)]
+            witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others], None)
+            if witness is None:
+                raise AlgorithmError("same-loop marking was predicted non-submodular")
+            return Certificate("NOT_KGT", "genus2-classification", {
+                "case": "same-loop", "reason": "non-submodular", "witness": witness,
+                "delta": delta(mg, witness)})
+    # no loop holds both marks, so neither is the shared vertex
+    loop_u, loop_v = loops if u in loops[0] else loops[::-1]
+    k1 = _cycle_arc_torsion(loop_u, u)
+    k2 = _cycle_arc_torsion(loop_v, v)
     if k1 == k2:
         return Certificate("KGT", "genus2-classification", {
             "case": "1", "torsion": k1, "component_torsions": [k1, k2]})

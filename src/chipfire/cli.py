@@ -5,9 +5,9 @@ kgt, bn, census, certify-chain, classify, plus the hidden verify-witness that
 re-derives any emitted witness from scratch with every fast path disabled.
 
 Exit codes: 0 passing/true/value, 1 failing/false with a witness, 2 errors
-(recursion, memory and overflow errors included) and INCONCLUSIVE verdicts.
---json selects a stable machine schema; output is byte-deterministic unless
---timing is requested.
+(unreadable or malformed input files, recursion, memory and overflow errors
+included) and INCONCLUSIVE verdicts.  --json selects a stable machine schema;
+output is byte-deterministic unless --timing is requested.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 import time
 
@@ -88,8 +89,12 @@ class _Output:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+        raise ChipfireError(f"cannot read {path}: {reason}") from None
 
 
 def _digest(text: str) -> str:
@@ -285,71 +290,82 @@ def _verify_delta_witness(mg: MarkedGraph, witness: Divisor, out) -> bool:
     return val < 0
 
 
+def _witness_claim(path: str, resolve) -> tuple | None:
+    """The witness a certificate file claims, decoded before anything is
+    recomputed: (kind, witness, values...), or None when it carries none."""
+
+    def as_divisor(data) -> Divisor:
+        return Divisor({resolve(k): operator.index(v) for k, v in data.items()})
+
+    try:
+        cert = json.loads(_read_file(path))
+        command = cert.get("command")
+        result = cert.get("result") or {}
+        certificate = cert.get("certificate") or {}
+        ev = certificate.get("evidence") or {}
+        if command in ("submodular", "tau") and result.get("witness"):
+            return "delta", as_divisor(result["witness"])
+        if command == "kgt" and certificate.get("verdict") == "FAIL":
+            if certificate.get("nonsubmodular_witness"):
+                return "delta", as_divisor(certificate["nonsubmodular_witness"])
+            if certificate.get("extremal_divisor"):
+                return "inversions", as_divisor(certificate["extremal_divisor"])
+        if command == "bn" and certificate.get("verdict") == _certify.NOT_GENERAL:
+            witness = as_divisor(ev["witness"])
+            if "partition" in ev:
+                return "partition", witness, resolve(ev["mark"])
+            return "rank", witness, operator.index(ev["r"]), operator.index(ev["d"])
+        if command == "classify":
+            if ev.get("witness"):
+                return "delta", as_divisor(ev["witness"])
+            if ev.get("witness_divisor"):
+                return "inversions", as_divisor(ev["witness_divisor"])
+            if ev.get("witness_steps"):
+                return ("steps", resolve(ev["witness_vertex"]),
+                        [operator.index(n) for n in ev["witness_steps"]])
+        return None
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ChipfireError(f"malformed certificate {path}: "
+                            f"{type(err).__name__}: {err}") from None
+
+
 def _cmd_verify_witness(args, doc, out):
-    cert = json.loads(_read_file(args.certificate))
-    command = cert.get("command")
-    result = cert.get("result") or {}
-    certificate = cert.get("certificate") or {}
     if doc.kind == "chain":
         out.say("chain certificates carry no refutation witness")
         return EXIT_ERROR
     original = doc.build_graph()
     graph = _strip_fast_paths(original)
     genus = graph.genus
-
-    def resolve(name: str) -> str:
-        return original.resolve(name)  # alias-aware; ids carry over verbatim
-
-    def as_divisor(data) -> Divisor:
-        return Divisor({resolve(k): int(v) for k, v in data.items()})
-
-    def marked() -> MarkedGraph:
-        return MarkedGraph(graph, resolve(doc.mark_u), resolve(doc.mark_v))
-
-    def check_inversions(data) -> bool:
-        tau = _tr.transmission_permutation(marked(), as_divisor(data))
-        out.say(f"recomputed inversions {inv_k(tau)} vs genus {genus}")
-        return inv_k(tau) > genus
-
-    ok = None
-    if command in ("submodular", "tau") and result.get("witness"):
-        ok = _verify_delta_witness(marked(), as_divisor(result["witness"]), out)
-    elif command == "kgt" and certificate.get("verdict") == "FAIL":
-        if certificate.get("nonsubmodular_witness"):
-            ok = _verify_delta_witness(
-                marked(), as_divisor(certificate["nonsubmodular_witness"]), out)
-        elif certificate.get("extremal_divisor"):
-            ok = check_inversions(certificate["extremal_divisor"])
-    elif command == "bn" and certificate.get("verdict") == _certify.NOT_GENERAL:
-        ev = certificate.get("evidence", {})
-        witness = as_divisor(ev["witness"])
-        if "partition" in ev:
-            lam = _tr.weierstrass_partition(graph, resolve(ev["mark"]), witness)
-            out.say(f"recomputed partition size {lam.size} vs genus {genus}")
-            ok = lam.size > genus
-        else:
-            r = rank(graph, witness, rank_determining_set="full")
-            bad = _certify.rho(genus, ev["r"], ev["d"])
-            out.say(f"recomputed rank {r} >= {ev['r']}, rho = {bad}")
-            ok = r >= ev["r"] and bad < 0
-    elif command == "classify" and certificate:
-        ev = certificate.get("evidence", {})
-        if ev.get("witness"):
-            ok = _verify_delta_witness(marked(), as_divisor(ev["witness"]), out)
-        elif ev.get("witness_divisor"):
-            ok = check_inversions(ev["witness_divisor"])
-        elif ev.get("witness_steps"):
-            d0 = Divisor.at(resolve(doc.mark_u)) - Divisor.at(resolve(doc.mark_v))
-            w = resolve(ev["witness_vertex"])
-            hits = []
-            for n in ev["witness_steps"]:
-                r = rank(graph, n * d0 + Divisor.at(w), rank_determining_set="full")
-                hits.append(r >= 0)
-                out.say(f"recomputed rank({n}(u-v) + {w}) = {r}")
-            ok = bool(hits) and all(hits)
-    if ok is None:
+    claim = _witness_claim(args.certificate, original.resolve)
+    if claim is None:
         out.say("certificate carries no witness to verify")
         return EXIT_ERROR
+    kind, witness, *rest = claim
+    if kind in ("delta", "inversions", "steps"):
+        mg = MarkedGraph(graph, original.resolve(doc.mark_u), original.resolve(doc.mark_v))
+    if kind == "delta":
+        ok = _verify_delta_witness(mg, witness, out)
+    elif kind == "inversions":
+        inv = inv_k(_tr.transmission_permutation(mg, witness))
+        out.say(f"recomputed inversions {inv} vs genus {genus}")
+        ok = inv > genus
+    elif kind == "partition":
+        lam = _tr.weierstrass_partition(graph, rest[0], witness)
+        out.say(f"recomputed partition size {lam.size} vs genus {genus}")
+        ok = lam.size > genus
+    elif kind == "rank":
+        r = rank(graph, witness, rank_determining_set="full")
+        bad = _certify.rho(genus, *rest)
+        out.say(f"recomputed rank {r} >= {rest[0]}, rho = {bad}")
+        ok = r >= rest[0] and bad < 0
+    else:
+        d0 = Divisor.at(mg.u) - Divisor.at(mg.v)
+        hits = []
+        for n in rest[0]:
+            r = rank(graph, n * d0 + Divisor.at(witness), rank_determining_set="full")
+            hits.append(r >= 0)
+            out.say(f"recomputed rank({n}(u-v) + {witness}) = {r}")
+        ok = bool(hits) and all(hits)
     out.result = {"valid": bool(ok)}
     out.say("witness valid" if ok else "witness INVALID")
     return EXIT_PASS if ok else EXIT_FAIL
@@ -415,11 +431,7 @@ def run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _read_file(args.file)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    out = _Output(args.command, _digest(text), args.json, args.timing)
-    try:
+        out = _Output(args.command, _digest(text), args.json, args.timing)
         doc = parse_spec(text)
         return out.emit(_COMMANDS[args.command](args, doc, out))
     except ChipfireError as err:

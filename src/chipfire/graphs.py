@@ -326,44 +326,25 @@ def contract_bridges(g: Graph, marks: Iterable[str] | None = None):
             v = parent[v]
         return v
 
-    cur = g
-    while True:
-        bridges = _bridges(cur)
-        if not bridges:
-            break
-        merged = {v: v for v in cur.vertices}
-
-        def cur_find(v):
-            while merged[v] != v:
-                merged[v] = merged[merged[v]]
-                v = merged[v]
-            return v
-
-        for a, b in bridges:
-            ra, rb = cur_find(a), cur_find(b)
-            if ra == rb:
-                continue
-            keep, drop = (ra, rb) if ra <= rb else (rb, ra)
-            merged[drop] = keep
-        new_edges: Counter = Counter()
-        for (a, b), m in cur.edges.items():
-            ra, rb = cur_find(a), cur_find(b)
-            if ra == rb:
-                continue  # the contracted bridge itself
-            new_edges[_canon_edge(ra, rb)] += m
-        new_vertices = {cur_find(v) for v in cur.vertices}
-        for v in g.vertices:
-            r = find(v)
-            if r in merged:
-                parent[r] = cur_find(r)
-        cur = Graph(new_vertices, new_edges)
-
+    # Contracting a bridge never makes another edge a bridge, so one pass over
+    # the bridges of g suffices; each contracted tree is named by its least
+    # vertex id, and a bridgeless g comes back as itself (banana spec kept).
+    bridges = _bridges(g)
+    for a, b in bridges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
     vertex_map = {v: find(v) for v in g.vertices}
     if marks is not None:
         missing = [m for m in marks if m not in vertex_map]
         if missing:
             raise InvalidGraphError(f"unknown marked vertices: {missing}")
-    return cur, vertex_map
+    if not bridges:
+        return g, vertex_map
+    edges: Counter = Counter()
+    for (a, b), m in g.edges.items():
+        if vertex_map[a] != vertex_map[b]:
+            edges[_canon_edge(vertex_map[a], vertex_map[b])] += m
+    return Graph(vertex_map.values(), edges), vertex_map
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

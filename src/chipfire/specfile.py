@@ -120,7 +120,7 @@ def _lengths(kind: str, toks: list[str], line: int) -> tuple[int, ...]:
     return vals
 
 
-def parse_divisor_tokens(toks: list[str], line: int = 0) -> list[tuple[str, int]]:
+def parse_divisor_tokens(toks: list[str], line: int | None = None) -> list[tuple[str, int]]:
     out = []
     for tok in toks:
         name, sep, num = tok.rpartition(":")

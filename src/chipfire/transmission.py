@@ -155,12 +155,7 @@ def _twist_rank_fn(mg: MarkedGraph, d: Divisor) -> Callable[[int, int], int]:
 
 
 def delta(mg: MarkedGraph, d: Divisor) -> int:
-    """r(D) - r(D-u) - r(D-v) + r(D-u-v); the degenerate-mark form uses -2u."""
-    g = mg.graph
-    if mg.degenerate:
-        u = Divisor.at(mg.u)
-        return (_class_rank(g, d) - 2 * _class_rank(g, d - u)
-                + _class_rank(g, d - 2 * u))
+    """r(D) - r(D-u) - r(D-v) + r(D-u-v); for u = v that is r(D) - 2r(D-u) + r(D-2u)."""
     return _second_difference(_twist_rank_fn(mg, d), 0, 0)
 
 
@@ -323,15 +318,10 @@ def kgt_check(mg: MarkedGraph, cap: int | None = None,
         if inv > genus and not exhaustive:
             complete = orbits == count // k
             break
-    if nonsub is not None:
-        return KgtCertificate("FAIL", k, genus, max_inv, extremal, nonsub,
-                              orbits, count, complete)
-    verdict = "PASS" if (max_inv is not None and max_inv <= genus) or count == 0 else "FAIL"
-    if max_inv is None:
-        max_inv = 0
-        verdict = "PASS"
-    return KgtCertificate(verdict, k, genus, max_inv, extremal, None,
-                          orbits, count, complete or verdict == "PASS")
+    # the first orbit either raises or sets max_inv, and a PASS never breaks
+    verdict = "PASS" if nonsub is None and max_inv <= genus else "FAIL"
+    return KgtCertificate(verdict, k, genus, max_inv, extremal, nonsub,
+                          orbits, count, complete)
 
 
 def recurrence_witness(g: Graph, d0: Divisor):
@@ -372,35 +362,27 @@ def _class_order(g: Graph, d0: Divisor) -> int:
 
 
 def weierstrass_partition(g: Graph, v: str, d: Divisor) -> WeierstrassPartition:
-    """Pole orders s_i = min{l : r(D + l*v) >= i} and their excess parts."""
+    """Pole orders s_i = min{l : r(D + l*v) >= i} and their excess parts.
+
+    Rank rises by at most one per added chip, so one upward scan of l meets
+    s_0 < s_1 < ... in turn (hence nonincreasing parts), up to the first zero
+    part, which Riemann-Roch places by l = 2g - deg D."""
     v = g.resolve(v)
     genus = g.genus
     deg = d.degree
-    unit = Divisor.at(v)
     parts: list[int] = []
     orders: list[int] = []
-    i = 0
-    lo = -deg
-    while True:
-        ceiling = i + genus - deg
-        s_i = None
-        for l in range(lo, ceiling + 1):
-            if _class_rank(g, d + l * unit) >= i:
-                s_i = l
-                break
-        if s_i is None:
-            raise AlgorithmError("pole order search missed its Riemann-Roch ceiling")
-        lam = i - s_i + genus - deg
+    for l in range(-deg, 2 * genus - deg + 1):
+        i = len(parts)
+        if _class_rank(g, d + Divisor.at(v, l)) < i:
+            continue
+        lam = i - l + genus - deg
         if lam < 0:
             raise AlgorithmError("negative partition part; this is a bug")
         if lam == 0:
             break
         parts.append(lam)
-        orders.append(s_i)
-        lo = s_i + 1
-        i += 1
-        if i > genus + 1:
-            raise AlgorithmError("partition did not stabilize by genus; this is a bug")
-    if any(parts[j] < parts[j + 1] for j in range(len(parts) - 1)):
-        raise AlgorithmError("partition parts are not nonincreasing; this is a bug")
+        orders.append(l)
+    else:
+        raise AlgorithmError("no zero partition part by degree 2g; this is a bug")
     return WeierstrassPartition(tuple(parts), tuple(orders))

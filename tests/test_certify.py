@@ -5,7 +5,8 @@ import pytest
 from math import comb, lcm
 
 from chipfire.certify import (CERTIFIED_GENERAL, INCONCLUSIVE, NOT_GENERAL,
-                              ChainSpec, bn_general_marked,
+                              ChainSpec, _two_loops, banana_strands,
+                              bn_general_marked,
                               bn_general_unmarked, chain_certify,
                               classify_banana, classify_genus2,
                               divisor_census, rho, theta_nonsubmodular_set)
@@ -123,6 +124,42 @@ def test_theta_nonsubmodular_wrong_shape():
     g = build_theta(2, 2, 2)
     with pytest.raises(DegenerateMarksError):
         theta_nonsubmodular_set(g, "s0.1", "s0.1")
+
+
+# ---------------------------------------------------------------------------
+# shape recognition
+
+
+def _graph_from(edges):
+    return build_general({x for e in edges for x in e}, edges)
+
+
+def test_banana_strands_of_graph_specs():
+    # banana 3 2 1 1 under other names: each parallel hub edge is a strand
+    g = _graph_from([("h", "b"), ("b", "a"), ("a", "k"), ("h", "c"), ("c", "k"),
+                     ("h", "k"), ("h", "k")])
+    assert banana_strands(g) == [["h", "k"], ["h", "k"], ["h", "c", "k"],
+                                 ["h", "b", "a", "k"]]
+    # strands of equal length are ordered by their vertex ids
+    g = _graph_from([("p", "x"), ("x", "y"), ("y", "q"), ("p", "b"), ("b", "a"),
+                     ("a", "q"), ("p", "m"), ("m", "q")])
+    assert banana_strands(g) == [["p", "m", "q"], ["p", "b", "a", "q"],
+                                 ["p", "x", "y", "q"]]
+    # a theta with a triangle at either hub is no banana
+    theta = [("h", "a"), ("a", "k"), ("h", "b"), ("b", "k"), ("h", "c"), ("c", "k")]
+    for hub in ("h", "k"):
+        g = _graph_from(theta + [(hub, "e"), ("e", "f"), ("f", hub)])
+        assert banana_strands(g) is None
+
+
+def test_two_loops_of_graph_specs():
+    # each loop starts at the shared vertex and leaves through its smaller neighbour
+    g = _graph_from([("w", "x"), ("w", "x"), ("w", "b"), ("b", "a"), ("a", "w")])
+    assert _two_loops(g) == [["w", "a", "b"], ["w", "x"]]
+    g = _graph_from([("w", "d"), ("d", "c"), ("c", "w"), ("w", "e"), ("e", "f"),
+                     ("f", "g"), ("g", "w")])
+    assert _two_loops(g) == [["w", "c", "d"], ["w", "e", "f", "g"]]
+    assert _two_loops(build_theta(2, 2, 2)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,32 @@ def test_cli_error_exit(tmp_path, capsys):
     p2 = tmp_path / "degen.graph"
     p2.write_text("theta 2 2 2\nmark u s0.1\nmark v s0.1\n")
     assert run_command(["kgt", str(p2)]) == 2
+    # unreadable or malformed input files are errors, reported on one line
+    good = tmp_path / "good.graph"
+    good.write_text("theta 2 2 2\nmark u s0.1\nmark v s1.1\n")
+    (tmp_path / "latin1.graph").write_bytes(b"theta 2 2 2  # caf\xe9\n")
+    certificates = {
+        "text.json": "not json",
+        "list.json": "[]",
+        "no-witness.json": json.dumps({"command": "bn", "certificate": {
+            "verdict": "NOT_GENERAL", "evidence": {"d": 2, "r": 1}}}),
+        "chips.json": json.dumps({"command": "tau", "result": {"witness": {"s0.1": "x"}}}),
+        "float.json": json.dumps({"command": "tau", "result": {"witness": {"s0.1": 2.5}}}),
+    }
+    for name, text in certificates.items():
+        (tmp_path / name).write_text(text)
+    cases = [["verify-witness", str(good), str(tmp_path / name)]
+             for name in ["missing.json", *certificates]]
+    cases += [["delta", str(good), "--divisor", "@" + str(tmp_path / "missing.div")],
+              ["torsion", str(tmp_path / "latin1.graph")]]
+    for argv in cases:
+        capsys.readouterr()
+        assert run_command(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # a divisor given on the command line has no line number
+    assert run_command(["delta", str(good), "--divisor", "L:x"]) == 2
+    assert capsys.readouterr().err == "error: expected an integer, got 'x'\n"
 
 
 def test_cli_json_schema_and_determinism(files, capsys):

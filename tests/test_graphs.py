@@ -115,7 +115,7 @@ def test_contract_bridges_two_cycles():
     out, vmap = contract_bridges(g)
     assert out.genus == g.genus == 2
     assert len(out.vertices) == 5  # two triangles sharing one vertex
-    assert vmap["c"] == vmap["p"] == vmap["d"]
+    assert vmap["c"] == vmap["p"] == vmap["d"] == "c"  # least id names the tree
 
 
 def test_contract_bridges_identity_on_bridgeless():
