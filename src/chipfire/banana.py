@@ -29,7 +29,7 @@ from operator import add, floordiv, mod, mul
 from typing import Iterator
 
 from .errors import AlgorithmError, InvalidGraphError, WrongShapeError
-from .graphs import BananaSpec, Graph
+from .graphs import BananaSpec
 from .divisors import Divisor
 
 MULTIVALENT_PAIR = "multivalent_pair"
@@ -201,13 +201,6 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
     """Rank of the class with unreduced entry vector raw_entries at a degree."""
     return _reduced_rank(spec.lengths, _reduce_entries(spec.lengths, raw_entries), degree)
-
-
-def class_rank(g: Graph, d: Divisor) -> int:
-    """Rank via the tuple calculus; only callable on graphs built as bananas."""
-    if g.banana is None:
-        raise WrongShapeError("not a banana graph")
-    return rank_entries(g.banana, _raw_entries(g.banana, d), d.degree)
 
 
 def predicted_tau(case: str, lengths, b: int) -> int | None:

@@ -7,7 +7,9 @@ certificate for the glued graph.
 
 Theta and banana classification share one reading of where the marks sit
 (``_mark_case``) and one interval formula for marks on a common strand.
-Banana strands and two loops at a vertex are both read off ``_branch_walks``.
+Banana strands and two loops at a vertex are both read off
+``graphs._branch_walks``, the walk that also picks the rank-determining set
+of ``divisors.rank``.
 
 Theorem-backed paths only ever return CERTIFIED_GENERAL or INCONCLUSIVE:
 sufficient conditions must not over-claim.  NOT_GENERAL always carries an
@@ -23,7 +25,7 @@ from . import banana as _bn
 from .divisors import Divisor, _from_vec, _reduced_key, _vec
 from .errors import (AlgorithmError, DegenerateMarksError, NonSubmodularError,
                      WrongShapeError)
-from .graphs import Graph, MarkedGraph, _bridges, jacobian_order
+from .graphs import Graph, MarkedGraph, _branch_walks, _bridges, jacobian_order
 from .perms import inv_k
 from .transmission import (_class_rank, _class_reps, _rep_divisor,
                            all_submodular, delta, kgt_check,
@@ -140,21 +142,6 @@ def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
 
 # ---------------------------------------------------------------------------
 # shape recognition helpers
-
-
-def _branch_walks(g: Graph, hub: str) -> list[list[str]]:
-    """The walks hub, x, ... through valence-2 vertices to the first vertex of
-    another valence, one per edge out of hub in sorted adjacency order."""
-    walks = []
-    for nbr, mult in sorted(g._adj[g.index(hub)]):
-        for _ in range(mult):
-            path = [hub, g.vertices[nbr]]
-            while g.valence(path[-1]) == 2:
-                nxts = [g.vertices[w] for w, m in g._adj[g.index(path[-1])] for _ in range(m)]
-                nxts.remove(path[-2])
-                path.append(nxts[0])
-            walks.append(path)
-    return walks
 
 
 def banana_strands(g: Graph) -> list[list[str]] | None:

@@ -2,7 +2,9 @@
 
 Subcommands mirror the library: rank, reduce, tau, delta, submodular, torsion,
 kgt, bn, census, certify-chain, classify, plus the hidden verify-witness that
-re-derives any emitted witness from scratch with every fast path disabled.
+re-derives any emitted witness from scratch through the generic engine (Dhar
+reduction and rank descent over the loopless model of the graph stripped of
+its banana annotation), never through the banana closed forms.
 
 Exit codes: 0 passing/true/value, 1 failing/false with a witness, 2 errors
 (unreadable or malformed input files, recursion, memory and overflow errors
@@ -278,18 +280,6 @@ def _cmd_classify(args, doc, out):
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
-def _verify_delta_witness(mg: MarkedGraph, witness: Divisor, out) -> bool:
-    g = mg.graph
-    du, dv = Divisor.at(mg.u), Divisor.at(mg.v)
-
-    def gen_rank(d):
-        return rank(g, d, rank_determining_set="full")
-    val = (gen_rank(witness) - gen_rank(witness - du)
-           - gen_rank(witness - dv) + gen_rank(witness - du - dv))
-    out.say(f"recomputed delta({_divisor_str(witness)}) = {val}")
-    return val < 0
-
-
 def _witness_claim(path: str, resolve) -> tuple | None:
     """The witness a certificate file claims, decoded before anything is
     recomputed: (kind, witness, values...), or None when it carries none."""
@@ -344,7 +334,9 @@ def _cmd_verify_witness(args, doc, out):
     if kind in ("delta", "inversions", "steps"):
         mg = MarkedGraph(graph, original.resolve(doc.mark_u), original.resolve(doc.mark_v))
     if kind == "delta":
-        ok = _verify_delta_witness(mg, witness, out)
+        val = _tr.delta(mg, witness)
+        out.say(f"recomputed delta({_divisor_str(witness)}) = {val}")
+        ok = val < 0
     elif kind == "inversions":
         inv = inv_k(_tr.transmission_permutation(mg, witness))
         out.say(f"recomputed inversions {inv} vs genus {genus}")
@@ -354,7 +346,7 @@ def _cmd_verify_witness(args, doc, out):
         out.say(f"recomputed partition size {lam.size} vs genus {genus}")
         ok = lam.size > genus
     elif kind == "rank":
-        r = rank(graph, witness, rank_determining_set="full")
+        r = rank(graph, witness)
         bad = _certify.rho(genus, *rest)
         out.say(f"recomputed rank {r} >= {rest[0]}, rho = {bad}")
         ok = r >= rest[0] and bad < 0
@@ -362,7 +354,7 @@ def _cmd_verify_witness(args, doc, out):
         d0 = Divisor.at(mg.u) - Divisor.at(mg.v)
         hits = []
         for n in rest[0]:
-            r = rank(graph, n * d0 + Divisor.at(witness), rank_determining_set="full")
+            r = rank(graph, n * d0 + Divisor.at(witness))
             hits.append(r >= 0)
             out.say(f"recomputed rank({n}(u-v) + {witness}) = {r}")
         ok = bool(hits) and all(hits)

@@ -12,8 +12,8 @@ import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import AlgorithmError, EnumerationCapError, InvalidGraphError
-from .graphs import Graph
+from .errors import AlgorithmError, EnumerationCapError
+from .graphs import Graph, _branch_walks
 
 DEFAULT_CLASS_CAP = 10 ** 7
 _MAX_FIRING_ROUNDS = 10 ** 6
@@ -250,59 +250,68 @@ def canonical_divisor(g: Graph) -> Divisor:
 
 
 def _resolve_rds(g: Graph, rank_determining_set):
-    if rank_determining_set is None:
-        if g.banana is not None:
-            hubs = (g.index(g.banana.left), g.index(g.banana.right))
-            return hubs, ("rds",) + hubs
-        return tuple(range(len(g.vertices))), ("all",)
+    """The vertex indices the rank descent visits, with its cache name.
+
+    By default that is the vertex set of a loopless model of g, computed once
+    per graph: every vertex of valence other than 2, one vertex of each
+    valence-2 walk that comes back to its start (the smaller of its two
+    vertices next to the start, so the walks in both directions agree), and
+    vertices 0 and 1 when g is a single cycle.
+    """
+    if rank_determining_set not in (None, "full"):
+        raise ValueError(f"rank_determining_set is None or 'full', not {rank_determining_set!r}")
     if rank_determining_set == "full":
-        return tuple(range(len(g.vertices))), ("all",)
-    idx = tuple(sorted(g.index(g.resolve(v)) for v in rank_determining_set))
-    if not idx:
-        raise InvalidGraphError("rank determining set cannot be empty")
-    return idx, ("rds",) + idx
+        return range(len(g.vertices)), "full"
+    if g._rds is None:
+        keep = {i for i, val in enumerate(g._val) if val != 2}
+        for i in list(keep):
+            keep.update(g.index(min(walk[1], walk[-2]))
+                        for walk in _branch_walks(g, g.vertices[i]) if walk[-1] == walk[0])
+        object.__setattr__(g, "_rds", tuple(sorted(keep)) or (0, 1))
+    return g._rds, "rds"
 
 
 def rank(g: Graph, d: Divisor, *, rank_determining_set=None) -> int:
-    """Baker-Norine rank by descent over a rank-determining set.
+    """Baker-Norine rank by descent over a rank-determining set A.
 
     r(D) >= 0 iff the reduced form has a nonnegative base coefficient, and then
-    r(D) = 1 + min over A of r(D - v).  A defaults to the two hubs on banana
-    graphs and to the full vertex set otherwise; pass "full" to force the
-    latter.
+    r(D) = 1 + min over v in A of r(D - v).  A is the vertex set of a loopless
+    model of g (see ``_resolve_rds``), which is rank-determining on the metric
+    graph (Luo, "Rank-determining sets of metric graphs", JCTA 2011); graph
+    and metric rank agree on loopless graphs (Hladky-Kral-Norine, "Rank of
+    divisors on tropical curves", JCTA 2013).  On bananas A is the two hubs.
+    Pass "full" to descend over every vertex instead.
     """
     if d.degree < 0:
         return -1
     rds, mode = _resolve_rds(g, rank_determining_set)
     cache = g._rank_caches.setdefault(mode, {})
-    genus = g.genus
-    q = 0
+    return _descend(g, _reduced_key(g, _vec(g, d), 0), rds, cache)
 
-    def rec(key: tuple[int, ...]) -> int:
-        val = cache.get(key)
-        if val is not None:
-            return val
-        if key[q] < 0:
-            val = -1
-        else:
-            deg = sum(key)
-            if deg > 2 * genus - 2:
-                val = deg - genus
-            else:
-                best = None
-                for v in rds:
-                    child = list(key)
-                    child[v] -= 1
-                    sub = rec(_reduced_key(g, child, q))
-                    if best is None or sub < best:
-                        best = sub
-                    if best == -1:
-                        break
-                val = 1 + best
-        cache[key] = val
+
+def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:
+    """Rank of the 0-reduced vector key by descent over rds, memoized in cache."""
+    val = cache.get(key)
+    if val is not None:
         return val
-
-    return rec(_reduced_key(g, _vec(g, d), q))
+    if key[0] < 0:
+        val = -1
+    else:
+        deg = sum(key)
+        genus = g.genus
+        if deg > 2 * genus - 2:
+            val = deg - genus
+        else:
+            best = deg  # above every r(D - v)
+            for v in rds:
+                child = list(key)
+                child[v] -= 1
+                best = min(best, _descend(g, _reduced_key(g, child, 0), rds, cache))
+                if best == -1:
+                    break
+            val = 1 + best
+    cache[key] = val
+    return val
 
 
 def support_complex(g: Graph, d: Divisor) -> set[str]:

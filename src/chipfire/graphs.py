@@ -97,7 +97,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "banana", "_vindex", "_adj", "_val",
-        "_rank_caches", "_jac_order",
+        "_rank_caches", "_rds", "_jac_order",
     )
 
     def __init__(self, vertices: Iterable[str],
@@ -133,6 +133,7 @@ class Graph:
         object.__setattr__(self, "_adj", [tuple(row) for row in adj])
         object.__setattr__(self, "_val", tuple(sum(m for _, m in row) for row in adj))
         object.__setattr__(self, "_rank_caches", {})
+        object.__setattr__(self, "_rds", None)
         object.__setattr__(self, "_jac_order", None)
         self._check_connected()
 
@@ -287,6 +288,21 @@ def chain_glue_maps(components: list[MarkedGraph]):
             first_in = rename[comp.u]
         prev_out = rename[comp.v]
     return MarkedGraph(Graph(vertices, edges), first_in, prev_out), maps
+
+
+def _branch_walks(g: Graph, hub: str) -> list[list[str]]:
+    """The walks hub, x, ... through valence-2 vertices to the first vertex of
+    another valence, one per edge out of hub in sorted adjacency order."""
+    walks = []
+    for nbr, mult in sorted(g._adj[g.index(hub)]):
+        for _ in range(mult):
+            path = [hub, g.vertices[nbr]]
+            while g.valence(path[-1]) == 2:
+                nxts = [g.vertices[w] for w, m in g._adj[g.index(path[-1])] for _ in range(m)]
+                nxts.remove(path[-2])
+                path.append(nxts[0])
+            walks.append(path)
+    return walks
 
 
 def _bridges(g: Graph) -> list[tuple[str, str]]:

@@ -1,11 +1,15 @@
+import gc
+from pathlib import Path
+
 import pytest
 
-from chipfire.divisors import (Divisor, canonical_divisor, dhar_reduce,
+from chipfire.divisors import (Divisor, _resolve_rds, canonical_divisor, dhar_reduce,
                                enumerate_jacobian, is_reduced,
                                linear_equivalent, rank, support_complex)
 from chipfire.errors import EnumerationCapError, InvalidGraphError
 from chipfire.graphs import (Graph, build_banana, build_cycle, build_general,
                              build_theta, jacobian_order)
+from chipfire.specfile import parse_spec
 
 from conftest import definitional_rank, random_connected_multigraph, random_divisor
 
@@ -122,6 +126,68 @@ def test_rank_hub_pair_determines_banana_ranks(rng):
         g = build_banana(lengths)
         d = random_divisor(rng, g, lo=-2, hi=3)
         assert rank(g, d) == rank(g, d, rank_determining_set="full")
+
+
+def _dressed_multigraph(rng) -> Graph:
+    """A plain cycle, or a random multigraph with some edges subdivided,
+    closed valence-2 loops of length 2-4 (length 2 is a double edge) and
+    pendant paths hung on its vertices."""
+    fresh = iter(f"x{i:02d}" for i in range(100))
+    if rng.random() < 0.15:
+        ring = [next(fresh) for _ in range(rng.randint(2, 6))]
+        return Graph(ring, zip(ring, ring[1:] + ring[:1]))
+    g = random_connected_multigraph(rng, max_vertices=4, max_extra=2)
+    vertices, edges = list(g.vertices), []
+    for (a, b), m in g.edges.items():
+        for _ in range(m):
+            path = [a] + [next(fresh) for _ in range(rng.choice((0, 0, 1, 2)))] + [b]
+            edges += zip(path, path[1:])
+    for _ in range(rng.randint(0, 2)):
+        at = rng.choice(g.vertices)
+        path = [at] + [next(fresh) for _ in range(rng.randint(1, 3))] + [at]
+        edges += zip(path, path[1:])
+    for _ in range(rng.randint(0, 1)):
+        path = [rng.choice(g.vertices)] + [next(fresh) for _ in range(rng.randint(1, 2))]
+        edges += zip(path, path[1:])
+    vertices += {v for e in edges for v in e}
+    return Graph(vertices, edges)
+
+
+def test_rank_loopless_model_matches_full_descent(rng):
+    # the default descent visits a loopless model's vertices only
+    for _ in range(40):
+        g = _dressed_multigraph(rng)
+        for _ in range(4):
+            d = random_divisor(rng, g, lo=-1, hi=3)
+            assert rank(g, d) == rank(g, d, rank_determining_set="full"), (g.edges, d)
+
+
+def test_rank_determining_set_shapes():
+    def names(g):
+        return [g.vertices[i] for i in _resolve_rds(g, None)[0]]
+
+    assert names(build_banana([3, 1, 2, 2])) == ["s0.0", "s0.3"]
+    assert names(Graph("pqrs", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "p")])) == ["p", "q"]
+    doubleloop = (Path(__file__).parent / "golden" / "inputs" / "doubleloop.graph").read_text()
+    assert names(parse_spec(doubleloop).build_graph()) == ["a", "w", "x"]
+    tree = Graph("rabcde", [("r", "a"), ("a", "b"), ("r", "c"), ("r", "d"), ("d", "e")])
+    assert names(tree) == ["b", "c", "e", "r"]
+    assert names(Graph(["a"], [])) == ["a"]
+    with pytest.raises(ValueError):
+        rank(tree, Divisor(), rank_determining_set=["r"])
+
+
+def test_rank_leaves_no_reference_cycles():
+    g = build_theta(3, 4, 5)
+    g = Graph(g.vertices, g.edges)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(5):
+            rank(g, Divisor({"s0.1": n, "s1.2": 1}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rank_monotone_in_one_chip(rng):

@@ -57,8 +57,6 @@ INPUT_CASES = {
     "doubleloop.graph": ("w", set()),
     "thetaloop.graph": ("h", set()),
 }
-# fig6 witnesses are left out: the generic recomputation takes minutes
-NO_VERIFY = {"fig6.graph"}
 
 
 def _argv(name: str, label: str) -> list[str]:
@@ -78,7 +76,7 @@ def _cases(verify: bool = True) -> list[tuple[str, str]]:
     cases = []
     for name, (_, slow) in INPUT_CASES.items():
         cases += [(name, label) for label in COMMANDS if label not in slow]
-        if verify and name not in NO_VERIFY:
+        if verify:
             cases += [(name, f"verify-witness@{src}") for src in WITNESS_SOURCES
                       if (GOLDEN / f"{name}.{src}.json").exists()]
     return cases
