@@ -272,8 +272,7 @@ def _cmd_classify(args, doc, out):
     elif _certify.banana_strands(g) is not None and g.genus >= 3:
         cert = _certify.classify_banana(mg)
     else:
-        out.say("no classification applies to this graph shape")
-        return EXIT_ERROR
+        raise ChipfireError("no classification applies to this graph shape")
     out.certificate = cert
     out.result = {"verdict": cert.verdict, "case": cert.evidence.get("case")}
     out.say(f"{cert.verdict} (case {cert.evidence.get('case')})")
