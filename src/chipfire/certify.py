@@ -71,7 +71,7 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-def divisor_census(g: Graph, cap: int | None = None) -> list[CensusEntry]:
+def divisor_census(g: Graph) -> list[CensusEntry]:
     """Per-degree maximal ranks over 0..2g-2, each with a witness divisor.
 
     Degrees outside the window are determined by Riemann-Roch (rank -1 below
@@ -81,7 +81,7 @@ def divisor_census(g: Graph, cap: int | None = None) -> list[CensusEntry]:
     base = Divisor.at(g.base_vertex)
     entries = []
     best: dict[int, tuple[int, Divisor]] = {}
-    for rep in _class_reps(g, cap):
+    for rep in _class_reps(g):
         j = _rep_divisor(g, rep)
         for degree in range(0, max(2 * genus - 1, 1)):
             d = j + degree * base
@@ -94,10 +94,10 @@ def divisor_census(g: Graph, cap: int | None = None) -> list[CensusEntry]:
     return entries
 
 
-def bn_general_unmarked(g: Graph, cap: int | None = None) -> Certificate:
+def bn_general_unmarked(g: Graph) -> Certificate:
     """A graph is general when no census pair beats its expected codimension."""
     genus = g.genus
-    for entry in divisor_census(g, cap):
+    for entry in divisor_census(g):
         for r in range(0, entry.r + 1):
             if rho(genus, r, entry.d) < 0:
                 return Certificate(NOT_GENERAL, "census", {
@@ -111,7 +111,7 @@ def bn_general_unmarked(g: Graph, cap: int | None = None) -> Certificate:
     return Certificate(CERTIFIED_GENERAL, "census", {"genus": genus})
 
 
-def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
+def bn_general_marked(g: Graph, v: str) -> Certificate:
     """Once-marked generality: every Weierstrass partition has size <= genus.
 
     Partitions are invariant under adding multiples of the mark, so one
@@ -120,7 +120,7 @@ def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
     v = g.resolve(v)
     genus = g.genus
     worst = None
-    for rep in _class_reps(g, cap):
+    for rep in _class_reps(g):
         d = _rep_divisor(g, rep)
         lam = weierstrass_partition(g, v, d)
         if lam.size > genus:
@@ -147,13 +147,11 @@ def bn_general_marked(g: Graph, v: str, cap: int | None = None) -> Certificate:
 def banana_strands(g: Graph) -> list[list[str]] | None:
     """Decompose a banana-shaped graph into hub-to-hub vertex paths.
 
-    Returns None when the graph is not a banana.  Strand order is sorted by
-    (length, vertex ids) for determinism; each path starts at the smaller hub.
+    Returns None when the graph is not a banana of three or more strands (a
+    cycle has no hubs).  Strand order is sorted by (length, vertex ids) for
+    determinism, on graphs built as bananas too, whatever their build order;
+    each path starts at the smaller hub.
     """
-    if g.banana is not None:
-        spec = g.banana
-        return [[spec.vertex_id(alpha, i) for i in range(n + 1)]
-                for alpha, n in enumerate(spec.lengths)]
     hubs = sorted(v for i, v in enumerate(g.vertices) if g._val[i] >= 3)
     if len(hubs) != 2:
         return None
@@ -276,7 +274,7 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
                 return Certificate("KGT", "genus2-classification", {
                     "case": "2", "torsion": torsion_order(mg)})
             others = [x for x in loop if x not in (u, v)]
-            witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others], None)
+            witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others])
             if witness is None:
                 raise AlgorithmError("same-loop marking was predicted non-submodular")
             return Certificate("NOT_KGT", "genus2-classification", {
@@ -310,7 +308,7 @@ def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
             "lower_bound": comb(3, 2), "genus": 2, "witness_divisor": witness,
             "witness_permutation": tau, "witness_inversions": inv_k(tau)})
     if case == "same-strand":
-        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j), None)
+        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
         if witness is None:
             raise AlgorithmError("same-strand theta marking was predicted non-submodular")
         return Certificate("NOT_KGT", "genus2-classification", {
@@ -327,21 +325,20 @@ def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
         "witness_vertex": nonrec[0], "witness_steps": [nonrec[1], nonrec[2]]})
 
 
-def _verified_negative(mg: MarkedGraph, candidates: list[Divisor],
-                       cap: int | None) -> Divisor | None:
+def _verified_negative(mg: MarkedGraph, candidates: list[Divisor]) -> Divisor | None:
     """First candidate with negative second difference, else a full-sweep
     witness; None only when every divisor really is submodular."""
     for d in candidates:
         if delta(mg, d) < 0:
             return d
-    return all_submodular(mg, cap).witness
+    return all_submodular(mg).witness
 
 
 # ---------------------------------------------------------------------------
 # banana classification (genus >= 3)
 
 
-def classify_banana(mg: MarkedGraph, cap: int | None = None) -> Certificate:
+def classify_banana(mg: MarkedGraph) -> Certificate:
     """Sort a twice-marked banana of genus >= 3 into: the one torsion-2 family
     with general transmission, the non-submodular mark placements (witness
     divisor verified), or submodular-but-too-many-inversions (closed-form
@@ -360,11 +357,11 @@ def classify_banana(mg: MarkedGraph, cap: int | None = None) -> Certificate:
     if case in ("hubs", "one-off"):
         reordered = [lengths[alpha]] + lengths[:alpha] + lengths[alpha + 1:]
         case = _bn.MULTIVALENT_PAIR if case == "hubs" else _bn.ONE_OFF
-        return _submodular_not_kgt(mg, case, _bn.inversion_lower_bound(case, reordered), cap)
+        return _submodular_not_kgt(mg, case, _bn.inversion_lower_bound(case, reordered))
     if case == "same-strand":
-        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j), cap)
+        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
         if witness is None:
-            return _verified_general(mg, "same-strand-surprise", cap)
+            return _verified_general(mg, "same-strand-surprise")
         return Certificate("NON_SUBMODULAR", "banana-classification", {
             "case": "same-strand", "witness": witness, "delta": delta(mg, witness)})
 
@@ -375,17 +372,17 @@ def classify_banana(mg: MarkedGraph, cap: int | None = None) -> Certificate:
             k = torsion_order(mg)
             if k != 2:
                 raise AlgorithmError("middle marks on two 2-strands must have torsion 2")
-            sweep = all_submodular(mg, cap)
+            sweep = all_submodular(mg)
             if not sweep.ok:
                 raise AlgorithmError("torsion-2 banana marking was expected to be submodular")
             return Certificate("KGT2", "banana-classification", {
                 "case": "both-off-2-strands", "torsion": 2, "genus": genus,
                 "submodularity_verified": True})
         if min(na, nb) < genus + 1:
-            return _submodular_not_kgt(mg, "both-off", None, cap)
+            return _submodular_not_kgt(mg, "both-off", None)
         reordered = [na, nb] + [n for c, n in enumerate(lengths) if c not in (alpha, beta)]
         bound = _bn.inversion_lower_bound(_bn.BOTH_OFF_MIN, reordered)
-        return _submodular_not_kgt(mg, _bn.BOTH_OFF_MIN, bound, cap)
+        return _submodular_not_kgt(mg, _bn.BOTH_OFF_MIN, bound)
 
     # Both marks are interior, so every offset below is too.  The family is
     # closed under reading all strands from the other hub (si -> la - si
@@ -399,17 +396,17 @@ def classify_banana(mg: MarkedGraph, cap: int | None = None) -> Certificate:
                           + Divisor({pb[lb - 1]: 1}))
         candidates.append(Divisor({pa[si]: 1}) + Divisor({pa[la - 1]: 1})
                           + Divisor({pb[1]: 1}))
-    witness = _verified_negative(mg, candidates, cap)
+    witness = _verified_negative(mg, candidates)
     if witness is None:
         # a marking the recipe family does not cover but the sweep certifies:
         # a mark in the middle of a length-2 strand leaves every divisor
         # submodular no matter where the other mark sits
-        return _verified_general(mg, "distinct-strands-surprise", cap)
+        return _verified_general(mg, "distinct-strands-surprise")
     return Certificate("NON_SUBMODULAR", "banana-classification", {
         "case": "distinct-strands", "witness": witness, "delta": delta(mg, witness)})
 
 
-def _verified_general(mg: MarkedGraph, case: str, cap: int | None) -> Certificate:
+def _verified_general(mg: MarkedGraph, case: str) -> Certificate:
     """Verdict for an all-submodular marking already verified by a full sweep:
     torsion 2 gives general transmission outright, anything larger is settled
     by a computed witness permutation."""
@@ -418,11 +415,11 @@ def _verified_general(mg: MarkedGraph, case: str, cap: int | None) -> Certificat
         return Certificate("KGT2", "banana-classification", {
             "case": case, "torsion": 2, "genus": mg.graph.genus,
             "submodularity_verified": True})
-    return _submodular_not_kgt(mg, case, None, cap, verified=True)
+    return _submodular_not_kgt(mg, case, None, verified=True)
 
 
 def _submodular_not_kgt(mg: MarkedGraph, case: str, bound: int | None,
-                        cap: int | None, verified: bool | None = None) -> Certificate:
+                        verified: bool | None = None) -> Certificate:
     """Verdict for a marking expected submodular with too many inversions,
     reported under case with the closed-form lower bound, if any."""
     g = mg.graph
@@ -442,14 +439,14 @@ def _submodular_not_kgt(mg: MarkedGraph, case: str, bound: int | None,
         if iv > best_inv:
             best_tau, best_inv, best_div = tau, iv, d
     if best_inv <= genus:
-        cert = kgt_check(mg, cap=cap)
+        cert = kgt_check(mg)
         if cert.passed:
             raise AlgorithmError("banana marking certified where inversions were expected")
         best_inv = cert.max_inversions
         best_div = cert.extremal
         best_tau = transmission_permutation(mg, best_div)
     if verified is None and jacobian_order(g) <= _VERIFY_CLASSES:
-        sweep = all_submodular(mg, cap)
+        sweep = all_submodular(mg)
         if not sweep.ok:
             return Certificate("NON_SUBMODULAR", "banana-classification", {
                 "case": "sweep", "witness": sweep.witness, "delta": sweep.value})
@@ -469,8 +466,7 @@ def _submodular_not_kgt(mg: MarkedGraph, case: str, bound: int | None,
 # chains
 
 
-def chain_certify(chain: ChainSpec | list[MarkedGraph],
-                  cap: int | None = None) -> Certificate:
+def chain_certify(chain: ChainSpec | list[MarkedGraph]) -> Certificate:
     """Generality of an iterated vertex gluing from per-component certificates.
 
     Every component must have general transmission (computed, not trusted).
@@ -486,7 +482,7 @@ def chain_certify(chain: ChainSpec | list[MarkedGraph],
     comps = []
     kgt_fail = None
     for idx, comp in enumerate(components):
-        cert = kgt_check(comp, cap=cap)
+        cert = kgt_check(comp)
         comps.append({
             "index": idx,
             "genus": comp.graph.genus,

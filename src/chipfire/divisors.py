@@ -107,18 +107,19 @@ class ReducedForm:
         return _from_vec(graph, vec)
 
 
-def class_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("CHIPFIRE_CLASS_CAP")
-    return int(env) if env else DEFAULT_CLASS_CAP
+def _check_cap(g: Graph, cap: int | None = None) -> int:
+    """The class count of g, or EnumerationCapError if it exceeds the limit.
 
-
-def _check_cap(g: Graph, cap: int | None) -> int:
-    """The class count of g, or EnumerationCapError if it exceeds the cap."""
+    The limit is the CHIPFIRE_CLASS_CAP environment variable, else
+    DEFAULT_CLASS_CAP; every class sweep checks it here before any work.
+    """
     from .graphs import jacobian_order
 
-    limit = class_cap(cap)
+    if cap is not None:
+        limit = cap
+    else:
+        env = os.environ.get("CHIPFIRE_CLASS_CAP")
+        limit = int(env) if env else DEFAULT_CLASS_CAP
     order = jacobian_order(g)
     if order > limit:
         raise EnumerationCapError(
@@ -137,7 +138,7 @@ def _from_vec(g: Graph, vec: Iterable[int]) -> Divisor:
     return Divisor({g.vertices[i]: c for i, c in enumerate(vec) if c})
 
 
-def _fire_set(g: Graph, vec: list[int], members: Iterable[int], count: int = 1) -> None:
+def _fire_set(g: Graph, vec: list[int], members: Iterable[int], count: int) -> None:
     inside = set(members)
     for v in inside:
         for w, m in g._adj[v]:
@@ -331,22 +332,23 @@ def class_key(g: Graph, d: Divisor) -> tuple[int, ...]:
     return _reduced_key(g, _vec(g, d), 0)
 
 
-def enumerate_jacobian(g: Graph, q: str | None = None, cap: int | None = None) -> list[Divisor]:
-    """All degree-0 q-reduced divisors, one per class of the Jacobian.
+def enumerate_jacobian(g: Graph) -> list[Divisor]:
+    """All degree-0 divisors reduced at the base vertex, one per class of the
+    Jacobian, sorted by coefficient vector.
 
-    Breadth-first closure over the single-chip generators [w - q]; reduced
-    vectors are the dedup keys, so no group-structure machinery is needed.
+    Closure over the single-chip generators [w - base]; reduced vectors are the
+    dedup keys, so no group-structure machinery is needed.  Raises
+    EnumerationCapError before any work when the class count exceeds the
+    CHIPFIRE_CLASS_CAP limit (see ``_check_cap``).
     """
-    order = _check_cap(g, cap)
-    qi = g.index(g.resolve(q)) if q is not None else 0
+    order = _check_cap(g)
     n = len(g.vertices)
     gens = []
-    for w in range(n):
-        if w != qi:
-            vec = [0] * n
-            vec[w] = 1
-            vec[qi] -= 1
-            gens.append(vec)
+    for w in range(1, n):
+        vec = [0] * n
+        vec[w] = 1
+        vec[0] = -1
+        gens.append(vec)
     start = tuple([0] * n)
     seen = {start}
     queue = [start]
@@ -354,7 +356,7 @@ def enumerate_jacobian(g: Graph, q: str | None = None, cap: int | None = None) -
         cur = queue.pop()
         for gen in gens:
             child = [a + b for a, b in zip(cur, gen)]
-            _reduce_vec(g, child, qi)
+            _reduce_vec(g, child, 0)
             key = tuple(child)
             if key not in seen:
                 seen.add(key)

@@ -328,7 +328,7 @@ def _bridges(g: Graph) -> list[tuple[str, str]]:
     return out
 
 
-def contract_bridges(g: Graph, marks: Iterable[str] | None = None):
+def contract_bridges(g: Graph):
     """Contract every bridge, returning (bridgeless graph, vertex retraction map).
 
     Rank computations are unaffected by the retraction, so marked vertices can
@@ -350,10 +350,6 @@ def contract_bridges(g: Graph, marks: Iterable[str] | None = None):
         ra, rb = find(a), find(b)
         parent[max(ra, rb)] = min(ra, rb)
     vertex_map = {v: find(v) for v in g.vertices}
-    if marks is not None:
-        missing = [m for m in marks if m not in vertex_map]
-        if missing:
-            raise InvalidGraphError(f"unknown marked vertices: {missing}")
     if not bridges:
         return g, vertex_map
     edges: Counter = Counter()

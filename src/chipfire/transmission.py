@@ -33,14 +33,14 @@ class _Engine(NamedTuple):
 
     raw(g, d) gives linear coordinates of a divisor, reduce(g, raw) the
     canonical key of a degree-0 class, rank(g, raw, degree) the rank of the
-    class at that degree, reps(g, cap) one key per class and divisor(g, key)
+    class at that degree, reps(g) one key per class and divisor(g, key)
     a divisor of the class.
     """
 
     raw: Callable[[Graph, Divisor], list[int]]
     reduce: Callable[[Graph, list[int]], tuple]
     rank: Callable[[Graph, list[int], int], int]
-    reps: Callable[[Graph, int | None], Iterator[tuple]]
+    reps: Callable[[Graph], Iterator[tuple]]
     divisor: Callable[[Graph, tuple], Divisor]
 
 
@@ -48,7 +48,7 @@ _TUPLES = _Engine(
     lambda g, d: _bn._raw_entries(g.banana, d),
     lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
     lambda g, raw, degree: _bn.rank_entries(g.banana, raw, degree),
-    lambda g, cap: _bn._reduced_tuples(g.banana.lengths),
+    lambda g: _bn._reduced_tuples(g.banana.lengths),
     lambda g, key: _bn.tuple_to_reduced_divisor(
         _bn.BananaTuple(g.banana, key), 0).to_divisor(g.banana))
 
@@ -56,7 +56,7 @@ _VECTORS = _Engine(
     _vec,
     lambda g, raw: _reduced_key(g, raw, 0),
     lambda g, raw, degree: rank(g, _from_vec(g, raw)),
-    lambda g, cap: (tuple(_vec(g, d)) for d in enumerate_jacobian(g, cap=cap)),
+    lambda g: (tuple(_vec(g, d)) for d in enumerate_jacobian(g)),
     _from_vec)
 
 
@@ -231,10 +231,10 @@ def twist_orbit(mg: MarkedGraph, d: Divisor, degree: int) -> TwistOrbit:
     return TwistOrbit(d, degree, reps)
 
 
-def _class_reps(g: Graph, cap: int | None) -> Iterator[tuple]:
-    """One canonical degree-0 key per class."""
+def _class_reps(g: Graph, cap: int | None = None) -> Iterator[tuple]:
+    """One canonical degree-0 key per class, after the class-count check."""
     _check_cap(g, cap)
-    yield from _engine(g).reps(g, cap)
+    yield from _engine(g).reps(g)
 
 
 def _rep_divisor(g: Graph, rep: tuple) -> Divisor:
@@ -249,13 +249,13 @@ def _orbit_keys(mg: MarkedGraph, rep: tuple, k: int) -> list[tuple]:
     return list(islice(_walk(g, eng, rep, step), k))
 
 
-def all_submodular(mg: MarkedGraph, cap: int | None = None) -> SubmodularityVerdict:
+def all_submodular(mg: MarkedGraph) -> SubmodularityVerdict:
     """Second difference >= 0 for one representative of every class of every
     degree that can matter (0..2g)."""
     g = mg.graph
     genus = g.genus
     base = Divisor.at(g.base_vertex)
-    for rep in _class_reps(g, cap):
+    for rep in _class_reps(g):
         j = _rep_divisor(g, rep)
         for degree in range(0, 2 * genus + 1):
             d = j + degree * base
@@ -265,7 +265,7 @@ def all_submodular(mg: MarkedGraph, cap: int | None = None) -> SubmodularityVerd
     return SubmodularityVerdict(True, None, None)
 
 
-def _ordered_orbit_reps(mg: MarkedGraph, k: int, cap: int | None) -> Iterator[Divisor]:
+def _ordered_orbit_reps(mg: MarkedGraph, k: int) -> Iterator[Divisor]:
     """One degree-0 divisor per orbit of the class group under [u - v].
 
     On bananas the orbit of [g(R - L)] comes first: it carries the known
@@ -278,14 +278,13 @@ def _ordered_orbit_reps(mg: MarkedGraph, k: int, cap: int | None) -> Iterator[Di
         hubs = Divisor.at(g.banana.right) - Divisor.at(g.banana.left)
         heads.append(eng.reduce(g, eng.raw(g, g.genus * hubs)))
     seen: set[tuple] = set()
-    for rep in chain(heads, _class_reps(g, cap)):
+    for rep in chain(heads, _class_reps(g)):
         if rep not in seen:
             seen.update(_orbit_keys(mg, rep, k))
             yield eng.divisor(g, rep)
 
 
-def kgt_check(mg: MarkedGraph, cap: int | None = None,
-              exhaustive: bool = False) -> KgtCertificate:
+def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
     """Certify or refute k-general transmission.
 
     Walks one representative per twist orbit (inversion counts are constant on
@@ -297,14 +296,14 @@ def kgt_check(mg: MarkedGraph, cap: int | None = None,
         raise DegenerateMarksError("k-general transmission needs distinct marks")
     g = mg.graph
     genus = g.genus
+    count = _check_cap(g)
     k = torsion_order(mg)
-    count = _check_cap(g, cap)
     max_inv = None
     extremal = None
     orbits = 0
     nonsub = None
     complete = True
-    for rep in _ordered_orbit_reps(mg, k, cap):
+    for rep in _ordered_orbit_reps(mg, k):
         orbits += 1
         try:
             tau = transmission_permutation(mg, rep)

@@ -152,6 +152,12 @@ def test_banana_strands_of_graph_specs():
         assert banana_strands(g) is None
 
 
+def test_banana_strands_sorted_on_built_bananas():
+    # built in the order 1, 3, 1: both length-1 strands come first
+    assert banana_strands(build_banana([1, 3, 1])) == [
+        ["s0.0", "s0.1"], ["s0.0", "s0.1"], ["s0.0", "s1.1", "s1.2", "s0.1"]]
+
+
 def test_two_loops_of_graph_specs():
     # each loop starts at the shared vertex and leaves through its smaller neighbour
     g = _graph_from([("w", "x"), ("w", "x"), ("w", "b"), ("b", "a"), ("a", "w")])
@@ -302,11 +308,12 @@ def test_classify_banana_midpoint_two_strand_family():
     assert not kgt_check(mg).passed
 
 
-def test_classify_banana_fallback_sweep_honours_cap():
+def test_classify_banana_fallback_sweep_honours_cap(monkeypatch):
     # no recipe candidate is negative here, so classify sweeps all 27 classes
     mg = MarkedGraph(build_banana([5, 2, 1, 1]), "s0.2", "s1.1")
+    monkeypatch.setenv("CHIPFIRE_CLASS_CAP", "5")
     with pytest.raises(EnumerationCapError):
-        classify_banana(mg, cap=5)
+        classify_banana(mg)
 
 
 def test_classify_banana_wrong_shape():

@@ -256,12 +256,6 @@ def test_enumerate_jacobian_classes_distinct(rng):
             assert not linear_equivalent(g, a, b)
 
 
-def test_enumerate_jacobian_cap():
-    g = build_theta(3, 4, 5)
-    with pytest.raises(EnumerationCapError):
-        enumerate_jacobian(g, cap=10)
-
-
 def test_enumeration_cap_env(monkeypatch):
     g = build_theta(3, 4, 5)
     monkeypatch.setenv("CHIPFIRE_CLASS_CAP", "5")

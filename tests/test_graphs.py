@@ -129,7 +129,7 @@ def test_contract_bridges_marks_map():
     g = build_general(["a", "b", "x", "c", "d"],
                       [("a", "b"), ("a", "b"), ("b", "x"), ("x", "c"),
                        ("c", "d"), ("c", "d")])
-    out, vmap = contract_bridges(g, marks=["a", "x"])
+    out, vmap = contract_bridges(g)
     assert out.genus == 2
     assert vmap["x"] == vmap["b"] == vmap["c"]
 

@@ -2,8 +2,8 @@ import pytest
 
 from chipfire.divisors import (Divisor, canonical_divisor, linear_equivalent,
                                rank)
-from chipfire.errors import (DegenerateMarksError, InvalidGraphError,
-                             NonSubmodularError)
+from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
+                             InvalidGraphError, NonSubmodularError)
 from chipfire.graphs import (MarkedGraph, build_banana, build_cycle,
                              build_general, build_theta, vertex_glue)
 from chipfire.perms import inv_k, sci
@@ -276,6 +276,18 @@ def test_kgt_exhaustive_flag():
     assert not fast.passed and not full.passed
     assert full.exhaustive
     assert full.max_inversions >= fast.max_inversions
+
+
+def test_kgt_checks_the_cap_before_any_work(monkeypatch):
+    import chipfire.transmission as tr
+
+    def torsion_walk(mg):
+        raise AssertionError("torsion order walked before the cap check")
+
+    monkeypatch.setenv("CHIPFIRE_CLASS_CAP", "10")
+    monkeypatch.setattr(tr, "torsion_order", torsion_walk)
+    with pytest.raises(EnumerationCapError):
+        kgt_check(MarkedGraph(build_theta(3, 4, 5), "L", "R"))
 
 
 def test_torsion_two_submodular_implies_kgt():
