@@ -110,7 +110,17 @@ def _record(name: str, label: str, manifest: dict) -> None:
     manifest[key] = {"exit": got["exit"], "stderr": got["stderr"]}
 
 
+def _stdout_files() -> set[Path]:
+    return set(GOLDEN.glob("*.json")) - {MANIFEST}
+
+
+def test_golden_files_belong_to_cases():
+    manifest = json.loads(MANIFEST.read_text())
+    assert {p.name[:-len(".json")] for p in _stdout_files()} <= manifest.keys()
+
+
 def record() -> None:
+    """Record every case afresh and delete stdout files no case wrote."""
     manifest: dict = {}
     for case in _cases(verify=False):
         _record(*case, manifest)
@@ -118,6 +128,9 @@ def record() -> None:
     for case in _cases():
         if ".".join(case) not in manifest:
             _record(*case, manifest)
+    for path in _stdout_files():
+        if path.name[:-len(".json")] not in manifest:
+            path.unlink()
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
