@@ -320,15 +320,13 @@ def _witness_claim(path: str, resolve) -> tuple | None:
 
 def _cmd_verify_witness(args, doc, out):
     if doc.kind == "chain":
-        out.say("chain certificates carry no refutation witness")
-        return EXIT_ERROR
+        raise ChipfireError("chain certificates carry no refutation witness")
     original = doc.build_graph()
     graph = _strip_fast_paths(original)
     genus = graph.genus
     claim = _witness_claim(args.certificate, original.resolve)
     if claim is None:
-        out.say("certificate carries no witness to verify")
-        return EXIT_ERROR
+        raise ChipfireError("certificate carries no witness to verify")
     kind, witness, *rest = claim
     if kind in ("delta", "inversions", "steps"):
         mg = MarkedGraph(graph, original.resolve(doc.mark_u), original.resolve(doc.mark_v))

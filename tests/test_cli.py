@@ -386,3 +386,16 @@ def test_verify_witness_nothing_to_check(files, tmp_path, capsys):
     code, cert = _emit_json(["kgt", files["theta414.graph"]], capsys, tmp_path, "ok.json")
     assert code == 0
     assert run_command(["verify-witness", files["theta414.graph"], cert]) == 2
+
+
+@pytest.mark.parametrize("spec,command", [("fig6.graph", "tau"),
+                                          ("example110.chain", "certify-chain")])
+def test_verify_witness_without_witness_is_an_error(files, tmp_path, capsys, spec, command):
+    # a certificate with nothing to re-check is an input error: exit 2, one
+    # error line and no stdout, in text and --json mode alike
+    _, cert = _emit_json([command, files[spec]], capsys, tmp_path, "cert.json")
+    reason = ("chain certificates carry no refutation witness" if command == "certify-chain"
+              else "certificate carries no witness to verify")
+    for extra in ([], ["--json"]):
+        assert run_command(["verify-witness", files[spec], cert] + extra) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
