@@ -27,7 +27,7 @@ from .divisors import Divisor, dhar_reduce, rank
 from .errors import ChipfireError, NonSubmodularError
 from .graphs import Graph, MarkedGraph
 from .perms import EafPerm, inv_k, sci
-from .specfile import SpecDocument, parse_divisor_tokens, parse_spec
+from .specfile import SpecDocument, divisor_on, parse_divisor_tokens, parse_spec
 from .transmission import KgtCertificate, WeierstrassPartition
 
 EXIT_PASS = 0
@@ -109,12 +109,7 @@ def _divisor_from_args(args, doc: SpecDocument, g: Graph) -> Divisor:
         if raw.startswith("@"):
             raw = " ".join(
                 line.split("#", 1)[0] for line in _read_file(raw[1:]).splitlines())
-        tokens = parse_divisor_tokens(raw.split())
-        chips: dict[str, int] = {}
-        for name, c in tokens:
-            vid = g.resolve(name)
-            chips[vid] = chips.get(vid, 0) + c
-        return Divisor(chips)
+        return divisor_on(g, parse_divisor_tokens(raw.split()))
     return doc.build_divisor(g)
 
 

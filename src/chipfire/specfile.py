@@ -16,7 +16,8 @@ are addressed as ``s<strand>.<offset>`` with ``L``/``R`` hub aliases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .divisors import Divisor
 from .errors import InvalidGraphError, SpecParseError
@@ -49,13 +50,18 @@ class SpecDocument:
     mark_u: str | None = None
     mark_v: str | None = None
     divisor_tokens: tuple[tuple[str, int], ...] = ()
+    # the graph, or the chain's components, built once on first use
+    _built: Graph | tuple[MarkedGraph, ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def build_graph(self) -> Graph:
         if self.kind == "chain":
             raise SpecParseError("chain files describe components, not a single graph")
-        if self.kind == "graph":
-            return build_general(self.vertices, list(self.edge_list))
-        return build_banana(self.lengths)
+        if self._built is None:
+            g = (build_general(self.vertices, list(self.edge_list)) if self.kind == "graph"
+                 else build_banana(self.lengths))
+            object.__setattr__(self, "_built", g)
+        return self._built
 
     def build_marked(self) -> MarkedGraph:
         if self.mark_u is None or self.mark_v is None:
@@ -65,14 +71,12 @@ class SpecDocument:
     def build_chain(self) -> list[MarkedGraph]:
         if self.kind != "chain":
             raise SpecParseError("not a chain file")
-        return [c.build() for c in self.components]
+        if self._built is None:
+            object.__setattr__(self, "_built", tuple(c.build() for c in self.components))
+        return list(self._built)
 
     def build_divisor(self, g: Graph) -> Divisor:
-        chips: dict[str, int] = {}
-        for name, c in self.divisor_tokens:
-            vid = g.resolve(name)
-            chips[vid] = chips.get(vid, 0) + c
-        return Divisor(chips)
+        return divisor_on(g, self.divisor_tokens)
 
     def canonical_text(self) -> str:
         lines: list[str] = []
@@ -128,6 +132,11 @@ def parse_divisor_tokens(toks: list[str], line: int | None = None) -> list[tuple
             raise SpecParseError(f"divisor term must look like VTX:INT, got {tok!r}", line)
         out.append((name, _int(num, line)))
     return out
+
+
+def divisor_on(g: Graph, tokens: Iterable[tuple[str, int]]) -> Divisor:
+    """The divisor of (vertex name, chips) tokens on g; repeated names add up."""
+    return Divisor((g.resolve(name), c) for name, c in tokens)
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -215,11 +224,11 @@ def parse_spec(text: str) -> SpecDocument:
 
 
 def _validate(doc: SpecDocument) -> None:
-    """Resolve every referenced vertex once so errors surface at parse time."""
+    """Build the graph and resolve every referenced vertex, so errors surface
+    at parse time; the commands reuse the graph built here."""
     try:
         if doc.kind == "chain":
-            for comp in doc.components:
-                comp.build()
+            doc.build_chain()
         else:
             g = doc.build_graph()
             for name in (doc.mark_u, doc.mark_v):

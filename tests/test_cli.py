@@ -4,6 +4,7 @@ import pytest
 
 from chipfire.cli import _COMMANDS, run_command
 from chipfire.errors import SpecParseError
+from chipfire.graphs import Graph
 from chipfire.specfile import parse_spec
 
 FIG6_TEXT = """\
@@ -96,6 +97,23 @@ def test_parse_round_trip_canonical():
         canon = doc.canonical_text()
         assert parse_spec(canon) == doc
         assert parse_spec(canon).canonical_text() == canon
+
+
+def test_spec_graph_built_once(files, monkeypatch, capsys):
+    # the graph validated at parse time is the one the command runs on
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert run_command(["rank", files["fig6.graph"], "--divisor", "s0.5:9 L:1 L:-1"]) == 0
+    assert len(built) == 1
+    doc = parse_spec(CHAIN110_TEXT)
+    assert [c.graph for c in doc.build_chain()] == [c.graph for c in doc.build_chain()]
+    assert len(built) == 1 + len(doc.components)
 
 
 def test_parse_errors_carry_line_numbers():
