@@ -111,7 +111,8 @@ def _check_cap(g: Graph, cap: int | None = None) -> int:
     """The class count of g, or EnumerationCapError if it exceeds the limit.
 
     The limit is the CHIPFIRE_CLASS_CAP environment variable, else
-    DEFAULT_CLASS_CAP; every class sweep checks it here before any work.
+    DEFAULT_CLASS_CAP; every class sweep checks it here before any work.  A
+    cap argument replaces it; only ``transmission._class_reps`` passes one on.
     """
     from .graphs import jacobian_order
 
