@@ -15,6 +15,7 @@ output is byte-deterministic unless --timing is requested.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import operator
@@ -371,7 +372,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first command rather than at
+    import, so importing the module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Exact divisor theory on finite graphs: ranks, reduced "

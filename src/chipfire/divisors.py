@@ -9,10 +9,10 @@ vertex double as canonical class representatives throughout the library.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import AlgorithmError, EnumerationCapError
+from .errors import AlgorithmError, ChipfireError, EnumerationCapError
 from .graphs import Graph, _branch_walks
 
 DEFAULT_CLASS_CAP = 10 ** 7
@@ -120,7 +120,10 @@ def _check_cap(g: Graph, cap: int | None = None) -> int:
         limit = cap
     else:
         env = os.environ.get("CHIPFIRE_CLASS_CAP")
-        limit = int(env) if env else DEFAULT_CLASS_CAP
+        try:
+            limit = int(env) if env else DEFAULT_CLASS_CAP
+        except ValueError:
+            raise ChipfireError(f"CHIPFIRE_CLASS_CAP={env!r} is not an integer") from None
     order = jacobian_order(g)
     if order > limit:
         raise EnumerationCapError(
@@ -165,57 +168,87 @@ def _bfs_layers(g: Graph, q: int) -> list[list[int]]:
     return layers
 
 
+def _reduction_plan(g: Graph, q: int):
+    """Stage 1 of ``_reduce_vec`` at base q as data, built once per graph and base.
+
+    Returns (steps, order).  order is the vertex names in BFS order from q, so
+    each ball of closer vertices is a prefix of it.  steps has one entry per
+    BFS layer but q's own, outermost first: (each layer vertex with its edge
+    count into the ball, the ball's cut edges as (inside, outside,
+    multiplicity), the ball's size).  By BFS only the ball's last layer has
+    edges leaving the ball.
+    """
+    plan = g._reduce_plans.get(q)
+    if plan is None:
+        layers = _bfs_layers(g, q)
+        ball: set[int] = set()
+        steps = []
+        for i in range(1, len(layers)):
+            ball.update(layers[i - 1])
+            inflows = tuple((v, sum(m for w, m in g._adj[v] if w in ball)) for v in layers[i])
+            cut = tuple((v, w, m) for v in layers[i - 1] for w, m in g._adj[v] if w not in ball)
+            steps.append((inflows, cut, len(ball)))
+        order = tuple(g.vertices[v] for lay in layers for v in lay)
+        plan = (tuple(reversed(steps)), order)
+        g._reduce_plans[q] = plan
+    return plan
+
+
 def _reduce_vec(g: Graph, vec: list[int], q: int, record: bool = False):
     """Reduce vec at base q in place; returns the certificate list (or None).
 
     Stage 1 clears debt off q layer by layer from the outside in, firing the
-    ball of closer vertices as often as the worst debtor needs.  Stage 2 is the
+    ball of closer vertices as often as the worst debtor needs; the layers,
+    inflows and cut edges come from the per-graph plan (``_reduction_plan``),
+    so only the debtor scan and the firing depend on vec.  Stage 2 is the
     burning algorithm: fire the maximal unburnt set until everything burns.
     """
     cert: list[tuple[tuple[str, ...], int]] | None = [] if record else None
     n = len(vec)
-    layers = _bfs_layers(g, q)
+    adj = g._adj
+    steps, order = _reduction_plan(g, q)
 
-    for i in range(len(layers) - 1, 0, -1):
-        closer = set()
-        for lay in layers[:i]:
-            closer.update(lay)
+    for inflows, cut, size in steps:
         need = 0
-        for v in layers[i]:
-            if vec[v] < 0:
-                inflow = sum(m for w, m in g._adj[v] if w in closer)
+        for v, inflow in inflows:
+            c = vec[v]
+            if c < 0:
                 if inflow <= 0:
                     raise AlgorithmError("BFS layer without inflow")
-                need = max(need, (-vec[v] + inflow - 1) // inflow)
+                need = max(need, (inflow - 1 - c) // inflow)
         if need:
-            _fire_set(g, vec, closer, need)
+            for v, w, m in cut:
+                vec[v] -= need * m
+                vec[w] += need * m
             if record:
-                cert.append((tuple(sorted(g.vertices[v] for v in closer)), need))
+                cert.append((tuple(sorted(order[:size])), need))
 
     for _ in range(_MAX_FIRING_ROUNDS):
         burnt = [False] * n
         burnt[q] = True
+        nburnt = 1
         incoming = [0] * n
         queue = [q]
         while queue:
             v = queue.pop()
-            for w, m in g._adj[v]:
+            for w, m in adj[v]:
                 if burnt[w]:
                     continue
                 incoming[w] += m
                 if incoming[w] > vec[w]:
                     burnt[w] = True
+                    nburnt += 1
                     queue.append(w)
-        unburnt = [v for v in range(n) if not burnt[v]]
-        if not unburnt:
+        if nburnt == n:
             return cert
+        unburnt = [v for v in range(n) if not burnt[v]]
         count = min(vec[v] // incoming[v] for v in unburnt if incoming[v] > 0)
         if count < 1:
             raise AlgorithmError("burning found an unfireable set")
         for v in unburnt:
             if incoming[v]:
                 vec[v] -= count * incoming[v]
-                for w, m in g._adj[v]:
+                for w, m in adj[v]:
                     if burnt[w]:
                         vec[w] += count * m
         if record:
@@ -273,22 +306,30 @@ def _resolve_rds(g: Graph, rank_determining_set):
     return g._rds, "rds"
 
 
-def rank(g: Graph, d: Divisor, *, rank_determining_set=None) -> int:
+def rank(g: Graph, d: Divisor | Sequence[int], *, rank_determining_set=None) -> int:
     """Baker-Norine rank by descent over a rank-determining set A.
 
-    r(D) >= 0 iff the reduced form has a nonnegative base coefficient, and then
-    r(D) = 1 + min over v in A of r(D - v).  A is the vertex set of a loopless
-    model of g (see ``_resolve_rds``), which is rank-determining on the metric
-    graph (Luo, "Rank-determining sets of metric graphs", JCTA 2011); graph
-    and metric rank agree on loopless graphs (Hladky-Kral-Norine, "Rank of
-    divisors on tropical curves", JCTA 2013).  On bananas A is the two hubs.
-    Pass "full" to descend over every vertex instead.
+    d is a Divisor or its coefficient sequence in vertex-index order (the
+    order of ``g.vertices``).  r(D) >= 0 iff the reduced form has a
+    nonnegative base coefficient, and then r(D) = 1 + min over v in A of
+    r(D - v).  A is the vertex set of a loopless model of g (see
+    ``_resolve_rds``), which is rank-determining on the metric graph (Luo,
+    "Rank-determining sets of metric graphs", JCTA 2011); graph and metric
+    rank agree on loopless graphs (Hladky-Kral-Norine, "Rank of divisors on
+    tropical curves", JCTA 2013).  On bananas A is the two hubs.  Pass "full"
+    to descend over every vertex instead.
     """
-    if d.degree < 0:
+    if isinstance(d, Divisor):
+        vec = _vec(g, d)
+    else:
+        vec = list(d)
+        if len(vec) != len(g.vertices):
+            raise ValueError(f"{len(vec)} coefficients for {len(g.vertices)} vertices")
+    if sum(vec) < 0:
         return -1
     rds, mode = _resolve_rds(g, rank_determining_set)
     cache = g._rank_caches.setdefault(mode, {})
-    return _descend(g, _reduced_key(g, _vec(g, d), 0), rds, cache)
+    return _descend(g, _reduced_key(g, vec, 0), rds, cache)
 
 
 def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:
@@ -308,7 +349,11 @@ def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:
             for v in rds:
                 child = list(key)
                 child[v] -= 1
-                best = min(best, _descend(g, _reduced_key(g, child, 0), rds, cache))
+                # Taking a chip off the base, or off a vertex that has one,
+                # raises no coefficient, so no set gains a legal firing and
+                # the child is still 0-reduced.
+                child = _reduced_key(g, child, 0) if key[v] == 0 and v != 0 else tuple(child)
+                best = min(best, _descend(g, child, rds, cache))
                 if best == -1:
                     break
             val = 1 + best

@@ -97,7 +97,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "banana", "_vindex", "_adj", "_val",
-        "_rank_caches", "_rds", "_jac_order",
+        "_rank_caches", "_rds", "_jac_order", "_reduce_plans",
     )
 
     def __init__(self, vertices: Iterable[str],
@@ -135,6 +135,7 @@ class Graph:
         object.__setattr__(self, "_rank_caches", {})
         object.__setattr__(self, "_rds", None)
         object.__setattr__(self, "_jac_order", None)
+        object.__setattr__(self, "_reduce_plans", {})
         self._check_connected()
 
     def __setattr__(self, *args):

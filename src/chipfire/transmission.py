@@ -55,7 +55,7 @@ _TUPLES = _Engine(
 _VECTORS = _Engine(
     _vec,
     lambda g, raw: _reduced_key(g, raw, 0),
-    lambda g, raw, degree: rank(g, _from_vec(g, raw)),
+    lambda g, raw, degree: rank(g, raw),
     lambda g: (tuple(_vec(g, d)) for d in enumerate_jacobian(g)),
     _from_vec)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chipfire.cli import _COMMANDS, run_command
+from chipfire.cli import _COMMANDS, _build_parser, run_command
 from chipfire.errors import SpecParseError
 from chipfire.graphs import Graph
 from chipfire.specfile import parse_spec
@@ -325,8 +325,30 @@ def test_cli_class_cap_env(tmp_path, monkeypatch, capsys):
     assert run_command(["kgt", str(p)]) == 2
     err = capsys.readouterr().err
     assert "cap" in err
+    # a limit that is not an integer is an error before any work
+    monkeypatch.setenv("CHIPFIRE_CLASS_CAP", "abc")
+    assert run_command(["kgt", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CHIPFIRE_CLASS_CAP='abc' is not an integer\n"
     monkeypatch.delenv("CHIPFIRE_CLASS_CAP")
     assert run_command(["kgt", str(p)]) in (0, 1)
+
+
+def test_cli_parser_built_once(files, capsys):
+    argvs = [["torsion", files["theta414.graph"]],
+             ["rank", files["fig6.graph"], "--json"],
+             ["kgt", files["theta414.graph"]]]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append((run_command(argv), capsys.readouterr()))
+    _build_parser.cache_clear()
+    reused = []
+    for argv in argvs:
+        reused.append((run_command(argv), capsys.readouterr()))
+    assert _build_parser.cache_info().misses == 1
+    assert reused == fresh
 
 
 def test_cli_threads_flag_rejected(files, capsys):

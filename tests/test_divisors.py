@@ -1,12 +1,13 @@
 import gc
+import itertools
 from pathlib import Path
 
 import pytest
 
-from chipfire.divisors import (Divisor, _resolve_rds, canonical_divisor, dhar_reduce,
-                               enumerate_jacobian, is_reduced,
-                               linear_equivalent, rank, support_complex)
-from chipfire.errors import EnumerationCapError, InvalidGraphError
+from chipfire.divisors import (_MAX_FIRING_ROUNDS, Divisor, _reduce_vec, _resolve_rds, _vec,
+                               canonical_divisor, dhar_reduce, enumerate_jacobian,
+                               is_reduced, linear_equivalent, rank, support_complex)
+from chipfire.errors import AlgorithmError, EnumerationCapError, InvalidGraphError
 from chipfire.graphs import (Graph, build_banana, build_cycle, build_general,
                              build_theta, jacobian_order)
 from chipfire.specfile import parse_spec
@@ -49,6 +50,101 @@ def test_dhar_idempotent_and_replayable(rng):
         assert all(form.divisor[v] >= 0 for v in g.vertices if v != q)
 
 
+# Reference copy of the reduction as it was before the per-graph plan: the
+# BFS layers and the ball of closer vertices are rebuilt on every call.  The
+# plan-driven _reduce_vec must match it vector for vector and firing for
+# firing.
+
+def _bfs_layers_reference(g, q):
+    dist = {q: 0}
+    layers = [[q]]
+    frontier = [q]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, _ in g._adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        if nxt:
+            layers.append(nxt)
+        frontier = nxt
+    return layers
+
+
+def _fire_set_reference(g, vec, members, count):
+    inside = set(members)
+    for v in inside:
+        for w, m in g._adj[v]:
+            if w not in inside:
+                vec[v] -= count * m
+                vec[w] += count * m
+
+
+def _reduce_vec_reference(g, vec, q, record=False):
+    cert = [] if record else None
+    n = len(vec)
+    layers = _bfs_layers_reference(g, q)
+
+    for i in range(len(layers) - 1, 0, -1):
+        closer = set()
+        for lay in layers[:i]:
+            closer.update(lay)
+        need = 0
+        for v in layers[i]:
+            if vec[v] < 0:
+                inflow = sum(m for w, m in g._adj[v] if w in closer)
+                if inflow <= 0:
+                    raise AlgorithmError("BFS layer without inflow")
+                need = max(need, (-vec[v] + inflow - 1) // inflow)
+        if need:
+            _fire_set_reference(g, vec, closer, need)
+            if record:
+                cert.append((tuple(sorted(g.vertices[v] for v in closer)), need))
+
+    for _ in range(_MAX_FIRING_ROUNDS):
+        burnt = [False] * n
+        burnt[q] = True
+        incoming = [0] * n
+        queue = [q]
+        while queue:
+            v = queue.pop()
+            for w, m in g._adj[v]:
+                if burnt[w]:
+                    continue
+                incoming[w] += m
+                if incoming[w] > vec[w]:
+                    burnt[w] = True
+                    queue.append(w)
+        unburnt = [v for v in range(n) if not burnt[v]]
+        if not unburnt:
+            return cert
+        count = min(vec[v] // incoming[v] for v in unburnt if incoming[v] > 0)
+        if count < 1:
+            raise AlgorithmError("burning found an unfireable set")
+        for v in unburnt:
+            if incoming[v]:
+                vec[v] -= count * incoming[v]
+                for w, m in g._adj[v]:
+                    if burnt[w]:
+                        vec[w] += count * m
+        if record:
+            cert.append((tuple(sorted(g.vertices[v] for v in unburnt)), count))
+    raise AlgorithmError("reduction did not terminate; this is a bug")
+
+
+def test_reduce_vec_matches_reference(rng):
+    for _ in range(60):
+        g = random_connected_multigraph(rng, max_vertices=7, max_extra=5)
+        for q in range(len(g.vertices)):
+            for record in (False, True):
+                start = [rng.randint(-6, 8) for _ in g.vertices]
+                got, want = list(start), list(start)
+                cert = _reduce_vec(g, got, q, record)
+                assert (got, cert) == (want, _reduce_vec_reference(g, want, q, record)), \
+                    (g.edges, start, q)
+
+
 def test_banana_tuple_divisors_are_reduced():
     # one chip per strand at interior positions, the rest at the base hub,
     # stays fixed under reduction
@@ -64,7 +160,6 @@ def test_reduced_tuple_divisors_are_fixed_points():
     from chipfire.banana import BananaTuple, tuple_to_reduced_divisor
     g = build_banana([2, 3, 2])
     spec = g.banana
-    import itertools
     for cand in itertools.product(range(3), range(4), range(3)):
         t = BananaTuple(spec, cand)
         if not t.is_reduced():
@@ -76,7 +171,6 @@ def test_reduced_tuple_divisors_are_fixed_points():
 def test_reduced_means_no_legal_firing_set():
     # definitional check on a small graph: once reduced, every nonempty vertex
     # set avoiding the base leaves some member in debt if fired
-    import itertools
     g = Graph(["q", "x1", "x2", "x3"],
               [("q", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "q"), ("x1", "x3")])
     d = dhar_reduce(g, Divisor({"x2": 3, "x3": 1}), "q").divisor
@@ -107,6 +201,32 @@ def test_rank_definitional_oracle(rng):
         if d.degree > 5:
             continue
         assert rank(g, d, rank_determining_set="full") == definitional_rank(g, d)
+
+
+def test_rank_descent_with_zero_entries(rng):
+    # a descent child skips reduction when its chip came off the base or off
+    # a vertex that had one; zero entries elsewhere force a reduction
+    for _ in range(6):
+        g = random_connected_multigraph(rng, max_vertices=4, max_extra=3)
+        for coeffs in itertools.product((-1, 0, 1, 2), repeat=len(g.vertices)):
+            if not 0 <= sum(coeffs) <= 4 or 0 not in coeffs:
+                continue
+            d = Divisor(zip(g.vertices, coeffs))
+            want = definitional_rank(g, d)
+            assert rank(g, d) == rank(g, d, rank_determining_set="full") == want, (g.edges, d)
+
+
+def test_rank_accepts_vectors(rng):
+    for _ in range(20):
+        g = random_connected_multigraph(rng)
+        d = random_divisor(rng, g, lo=-2, hi=4)
+        vec = _vec(g, d)
+        for rds in (None, "full"):
+            assert rank(g, vec, rank_determining_set=rds) == rank(g, d, rank_determining_set=rds)
+        assert rank(g, tuple(vec)) == rank(g, d)
+        assert vec == _vec(g, d)  # the input is not reduced in place
+    with pytest.raises(ValueError):
+        rank(g, vec + [0])
 
 
 def test_rank_effective_iff_reduced_base_nonnegative(rng):
