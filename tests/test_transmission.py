@@ -1,11 +1,13 @@
 import pytest
 
+import chipfire.transmission as tr
 from chipfire.divisors import (Divisor, canonical_divisor, linear_equivalent,
                                rank)
 from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
                              InvalidGraphError, NonSubmodularError)
-from chipfire.graphs import (MarkedGraph, build_banana, build_cycle,
-                             build_general, build_theta, vertex_glue)
+from chipfire.graphs import (Graph, MarkedGraph, build_banana, build_cycle,
+                             build_general, build_theta, jacobian_order,
+                             vertex_glue)
 from chipfire.perms import inv_k, sci
 from chipfire.transmission import (all_submodular, delta,
                                    is_submodular_divisor, kgt_check,
@@ -13,6 +15,8 @@ from chipfire.transmission import (all_submodular, delta,
                                    torsion_order, transmission_permutation,
                                    twist_orbit, weierstrass_partition,
                                    _class_reps, _rep_divisor, _class_rank)
+
+from conftest import random_connected_multigraph
 
 
 def two_triangles():
@@ -111,7 +115,6 @@ def test_torsion_degenerate_and_generic_agree():
     th = build_theta(4, 1, 4)
     assert torsion_order(MarkedGraph(th, "s0.1", "s0.1")) == 1
     # same graph through the generic engine (no banana annotation)
-    from chipfire.graphs import Graph
     plain = Graph(th.vertices, th.edges)
     for u, v in [("s0.1", "s2.1"), ("s0.0", "s0.4"), ("s0.1", "s0.2")]:
         assert (torsion_order(MarkedGraph(th, u, v))
@@ -123,6 +126,54 @@ def test_torsion_cycle_formula(rng):
     for _ in range(10):
         a, b = rng.randint(1, 6), rng.randint(1, 6)
         assert torsion_order(build_cycle(a, b)) == (a + b) // gcd(a, b)
+
+
+def _walk_order(g, d0):
+    """Reference class order: the first n with n*d0 reducing to the zero key,
+    walked one reduction at a step (the class order divides the class count)."""
+    eng = tr._engine(g)
+    step = eng.raw(g, d0)
+    zero = (0,) * len(step)
+    key = eng.reduce(g, step)
+    for n in range(1, jacobian_order(g) + 1):
+        if key == zero:
+            return n
+        key = eng.reduce(g, [c + s for c, s in zip(key, step)])
+    raise AssertionError("walk exceeded the class count")
+
+
+def _degree0_divisor(rng, g):
+    """A random degree-0 divisor with entries in -9..9."""
+    while True:
+        support = rng.sample(g.vertices, min(len(g.vertices), rng.randint(2, 4)))
+        coeffs = {v: rng.randint(-9, 9) for v in support[1:]}
+        last = -sum(coeffs.values())
+        if -9 <= last <= 9:
+            return Divisor({support[0]: last, **coeffs})
+
+
+def test_class_order_matches_walk(rng):
+    graphs = []
+    for _ in range(12):
+        g = build_banana([rng.randint(1, 5) for _ in range(rng.randint(2, 5))])
+        graphs += [g, Graph(g.vertices, g.edges)]   # tuple and vector engines
+    graphs += [random_connected_multigraph(rng, 7, 5) for _ in range(12)]
+    for g in graphs:
+        for _ in range(4):
+            d0 = _degree0_divisor(rng, g)
+            assert tr._class_order(g, d0) == _walk_order(g, d0)
+
+
+def test_class_order_edge_cases():
+    point = Graph(["x"], [])
+    assert tr._class_order(point, Divisor()) == _walk_order(point, Divisor()) == 1
+    tree = Graph("abcd", [("a", "b"), ("b", "c"), ("b", "d")])
+    d0 = Divisor({"a": 5, "c": -9, "d": 4})
+    assert tr._class_order(tree, d0) == _walk_order(tree, d0) == 1
+    fig6 = build_banana([5, 4, 4, 3, 3, 3, 3, 3, 3, 3])
+    for u, v, k in [("s0.0", "s0.4", 91), ("L", "R", 182), ("s0.1", "s1.3", 728)]:
+        d0 = Divisor.at(fig6.resolve(u)) - Divisor.at(fig6.resolve(v))
+        assert tr._class_order(fig6, d0) == _walk_order(fig6, d0) == k
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +246,6 @@ def test_tau_window_riemann_roch_bounds(rng):
 def test_class_reps_generate_reduced_tuples_in_product_order():
     from itertools import product
     from chipfire.banana import BananaTuple
-    from chipfire.graphs import jacobian_order
     for lengths in [(1, 1), (1, 1, 1, 1), (2, 1), (1, 3, 1), (2, 2, 2),
                     (3, 4, 5), (2, 3, 2, 2), (4, 1, 2, 3)]:
         g = build_banana(list(lengths))
