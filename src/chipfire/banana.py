@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, floordiv, mod, mul
 from typing import Iterator
 
@@ -120,6 +120,16 @@ def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
     for i in zeros[:nfull]:
         out[i] = lengths[i]
     return tuple(out)
+
+
+def _entries_order(lengths: tuple[int, ...], entries) -> int:
+    """Order of the class of entries.  The relations are m*(1,...,1) +
+    sum(c*n*e) with sum(c) = 0, so a is one exactly when m = s/num for
+    s = sum(a*w) and every (m - a)/n is an integer: k*a is a relation exactly
+    when num*n divides k*(s - a*num) on every strand."""
+    num, _, weights = _wrap_rate(lengths)
+    s = sum(map(mul, entries, weights))
+    return lcm(*(num * n // gcd(num * n, s - a * num) for a, n in zip(entries, lengths)))
 
 
 def reduce_tuple(t: BananaTuple) -> BananaTuple:

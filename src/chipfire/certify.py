@@ -19,7 +19,7 @@ explicit witness that the hidden verify-witness CLI path can re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from . import banana as _bn
 from .divisors import Divisor, _from_vec, _reduced_key, _vec
@@ -27,8 +27,8 @@ from .errors import (AlgorithmError, DegenerateMarksError, NonSubmodularError,
                      WrongShapeError)
 from .graphs import Graph, MarkedGraph, _branch_walks, _bridges, jacobian_order
 from .perms import inv_k
-from .transmission import (_class_rank, _class_reps, _rep_divisor,
-                           all_submodular, delta, kgt_check,
+from .transmission import (_class_order, _class_rank, _class_reps,
+                           _rep_divisor, all_submodular, delta, kgt_check,
                            recurrence_witness, torsion_order,
                            transmission_permutation, weierstrass_partition)
 
@@ -214,13 +214,6 @@ def _two_loops(g: Graph) -> list[list[str]] | None:
     return list(loops.values())
 
 
-def _cycle_arc_torsion(loop: list[str], mark: str) -> int:
-    """Torsion order of a cycle marked at (mark, loop[0]): len / gcd(arc, len)."""
-    length = len(loop)
-    a = loop.index(mark)  # distance from loop[0] along one arc
-    return length // gcd(a, length)
-
-
 # ---------------------------------------------------------------------------
 # theta non-submodular classes
 
@@ -282,8 +275,8 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
                 "delta": delta(mg, witness)})
     # no loop holds both marks, so neither is the shared vertex
     loop_u, loop_v = loops if u in loops[0] else loops[::-1]
-    k1 = _cycle_arc_torsion(loop_u, u)
-    k2 = _cycle_arc_torsion(loop_v, v)
+    # each mark's cycle torsion is the order of [mark - w], w = loop[0]
+    k1, k2 = (_class_order(g, Divisor({x: 1, loop_u[0]: -1})) for x in (u, v))
     if k1 == k2:
         return Certificate("KGT", "genus2-classification", {
             "case": "1", "torsion": k1, "component_torsions": [k1, k2]})
@@ -369,8 +362,7 @@ def classify_banana(mg: MarkedGraph) -> Certificate:
     both_off = (i == 1 and j == nb - 1) or (i == na - 1 and j == 1)
     if both_off:
         if na == 2 and nb == 2:
-            k = torsion_order(mg)
-            if k != 2:
+            if torsion_order(mg) != 2:
                 raise AlgorithmError("middle marks on two 2-strands must have torsion 2")
             sweep = all_submodular(mg)
             if not sweep.ok:
@@ -410,8 +402,7 @@ def _verified_general(mg: MarkedGraph, case: str) -> Certificate:
     """Verdict for an all-submodular marking already verified by a full sweep:
     torsion 2 gives general transmission outright, anything larger is settled
     by a computed witness permutation."""
-    k = torsion_order(mg)
-    if k == 2:
+    if torsion_order(mg) == 2:
         return Certificate("KGT2", "banana-classification", {
             "case": case, "torsion": 2, "genus": mg.graph.genus,
             "submodularity_verified": True})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import index
 
 from .errors import AlgorithmError, ChipfireError, EnumerationCapError
 from .graphs import Graph, _branch_walks
@@ -28,7 +29,7 @@ class Divisor:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[str, int] = {}
         for v, c in items:
-            c = int(c)
+            c = index(c)
             if c:
                 data[v] = data.get(v, 0) + c
                 if not data[v]:
@@ -114,6 +115,8 @@ def _check_cap(g: Graph, cap: int | None = None) -> int:
     DEFAULT_CLASS_CAP; every class sweep checks it here before any work.  A
     cap argument replaces it; only ``transmission._class_reps`` passes one on.
     """
+    # imported at call time, so that bench/tracer.py's rebinding of
+    # graphs.jacobian_order is seen
     from .graphs import jacobian_order
 
     if cap is not None:

@@ -10,10 +10,10 @@ keeps whatever names the caller supplies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import InvalidGraphError, WrongShapeError
+from .errors import AlgorithmError, InvalidGraphError, WrongShapeError
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ class MarkedGraph:
     graph: Graph
     u: str
     v: str
+    # the order of [u - v], computed once by transmission.torsion_order
+    _torsion: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.graph.resolve(self.u))
@@ -360,54 +362,39 @@ def contract_bridges(g: Graph):
     return Graph(vertex_map.values(), edges), vertex_map
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix (destroys m)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _laplacian_solve(g: Graph, b: list[int]) -> tuple[int, list[int]]:
+    """det L0 and y = det * L0^-1 b, for L0 the Laplacian without the base
+    vertex (index 0): a fraction-free (Bareiss) forward pass on [L0 | b] and
+    back-substitution, whose divisions are exact (y is integral by Cramer's
+    rule).  L0 is positive definite on a connected graph, so every pivot is a
+    positive leading minor and no row exchange is needed."""
+    n = len(g.vertices) - 1
+    m = [[0] * n + [c] for c in b]
+    for i, row in enumerate(m, 1):
+        row[i - 1] = g._val[i]
+        for j, mult in g._adj[i]:
+            if j:
+                row[j - 1] -= mult
+    det = 1
+    for k, row_k in enumerate(m):
+        pivot = row_k[k]
+        if pivot <= 0:
+            raise AlgorithmError("reduced Laplacian pivot is not positive; this is a bug")
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // det
+            row[k] = 0
+        det = pivot
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (det * m[i][n] - sum(m[i][j] * y[j] for j in range(i + 1, n))) // m[i][i]
+    return det, y
 
 
 def jacobian_order(g: Graph) -> int:
-    """Number of spanning trees = order of the degree-0 class group.
-
-    Computed as the determinant of the reduced Laplacian by exact integer
-    elimination; no floating point anywhere.
-    """
-    if g._jac_order is not None:
-        return g._jac_order
-    n = len(g.vertices)
-    if n == 1:
-        order = 1
-    else:
-        lap = [[0] * (n - 1) for _ in range(n - 1)]
-        for i in range(1, n):
-            lap[i - 1][i - 1] = g._val[i]
-            for j, m in g._adj[i]:
-                if j >= 1:
-                    lap[i - 1][j - 1] -= m
-        order = _det_bareiss(lap)
-    if order <= 0:
-        raise InvalidGraphError("spanning tree count must be positive on a connected graph")
-    object.__setattr__(g, "_jac_order", order)
-    return order
+    """Number of spanning trees = order of the degree-0 class group = det L0."""
+    if g._jac_order is None:
+        det, _ = _laplacian_solve(g, [0] * (len(g.vertices) - 1))
+        object.__setattr__(g, "_jac_order", det)
+    return g._jac_order

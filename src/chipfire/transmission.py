@@ -6,15 +6,17 @@ partitions.
 Nearly everything here walks the degree-0 class group, and ``_engine`` picks
 its encoding once per graph: reduced strand tuples with the closed-form rank
 on graphs built as bananas, base-reduced vertex vectors with burning and rank
-descent otherwise.  Either way the walks see the same five operations (linear
-coordinates, canonical key, rank, one key per class, divisor of a key), and
-the two encodings are pinned to each other by the oracle tests.
+descent otherwise.  Either way the walks see the same six operations (linear
+coordinates, canonical key, rank, class order, one key per class, divisor of
+a key), and the two encodings are pinned to each other by the oracle tests.
+Class orders, torsion included, are closed forms in either lattice, not walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
+from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
 from . import banana as _bn
@@ -24,7 +26,9 @@ from .divisors import (Divisor, _check_cap, _from_vec, _reduce_vec,  # noqa: F40
                        _reduced_key, _vec, enumerate_jacobian, rank)
 from .errors import (AlgorithmError, DegenerateMarksError, InvalidGraphError,
                      NonSubmodularError)
-from .graphs import Graph, MarkedGraph, jacobian_order
+# jacobian_order is unused here but stays importable by this path, where
+# bench/tracer.py rebinds it
+from .graphs import Graph, MarkedGraph, _laplacian_solve, jacobian_order  # noqa: F401
 from .perms import EafPerm, inv_k
 
 
@@ -33,13 +37,15 @@ class _Engine(NamedTuple):
 
     raw(g, d) gives linear coordinates of a divisor, reduce(g, raw) the
     canonical key of a degree-0 class, rank(g, raw, degree) the rank of the
-    class at that degree, reps(g) one key per class and divisor(g, key)
-    a divisor of the class.
+    class at that degree, order(g, raw) the order of a degree-0 class in
+    closed form, reps(g) one key per class and divisor(g, key) a divisor of
+    the class.
     """
 
     raw: Callable[[Graph, Divisor], list[int]]
     reduce: Callable[[Graph, list[int]], tuple]
     rank: Callable[[Graph, list[int], int], int]
+    order: Callable[[Graph, list[int]], int]
     reps: Callable[[Graph], Iterator[tuple]]
     divisor: Callable[[Graph, tuple], Divisor]
 
@@ -48,14 +54,24 @@ _TUPLES = _Engine(
     lambda g, d: _bn._raw_entries(g.banana, d),
     lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
     lambda g, raw, degree: _bn.rank_entries(g.banana, raw, degree),
+    lambda g, raw: _bn._entries_order(g.banana.lengths, raw),
     lambda g: _bn._reduced_tuples(g.banana.lengths),
     lambda g, key: _bn.tuple_to_reduced_divisor(
         _bn.BananaTuple(g.banana, key), 0).to_divisor(g.banana))
+
+
+def _vector_order(g: Graph, raw: list[int]) -> int:
+    """The class group is Z^(n-1)/L0 for the reduced Laplacian L0, so m*[d] = 0
+    exactly when m*L0^-1 d is integral: the lcm of the denominators of y/det."""
+    det, y = _laplacian_solve(g, raw[1:])
+    return det // gcd(det, *y)
+
 
 _VECTORS = _Engine(
     _vec,
     lambda g, raw: _reduced_key(g, raw, 0),
     lambda g, raw, degree: rank(g, raw),
+    _vector_order,
     lambda g: (tuple(_vec(g, d)) for d in enumerate_jacobian(g)),
     _from_vec)
 
@@ -63,13 +79,6 @@ _VECTORS = _Engine(
 def _engine(g: Graph) -> _Engine:
     """Reduced strand tuples on bananas, base-reduced vectors otherwise."""
     return _VECTORS if g.banana is None else _TUPLES
-
-
-def _walk(g: Graph, eng: _Engine, key: tuple, step: list[int]) -> Iterator[tuple]:
-    """key, key + step, key + 2*step, ... as canonical keys."""
-    while True:
-        yield key
-        key = eng.reduce(g, [c + s for c, s in zip(key, step)])
 
 
 def _class_rank(g: Graph, d: Divisor) -> int:
@@ -194,10 +203,12 @@ def is_submodular_divisor(mg: MarkedGraph, d: Divisor) -> SubmodularityVerdict:
 
 
 def torsion_order(mg: MarkedGraph) -> int:
-    """Order of [u - v] in the degree-0 class group."""
-    if mg.degenerate:
-        return 1
-    return _class_order(mg.graph, Divisor.at(mg.u) - Divisor.at(mg.v))
+    """Order of [u - v] in the degree-0 class group, computed once per marked
+    graph."""
+    if mg._torsion is None:
+        k = _class_order(mg.graph, Divisor.at(mg.u) - Divisor.at(mg.v))
+        object.__setattr__(mg, "_torsion", k)
+    return mg._torsion
 
 
 def transmission_permutation(mg: MarkedGraph, d: Divisor) -> EafPerm:
@@ -246,7 +257,10 @@ def _orbit_keys(mg: MarkedGraph, rep: tuple, k: int) -> list[tuple]:
     g = mg.graph
     eng = _engine(g)
     step = eng.raw(g, Divisor.at(mg.u) - Divisor.at(mg.v))
-    return list(islice(_walk(g, eng, rep, step), k))
+    keys = [rep]
+    for _ in range(k - 1):
+        keys.append(eng.reduce(g, [c + s for c, s in zip(keys[-1], step)]))
+    return keys
 
 
 def all_submodular(mg: MarkedGraph) -> SubmodularityVerdict:
@@ -350,14 +364,7 @@ def non_recurrent(g: Graph, d0: Divisor) -> bool:
 def _class_order(g: Graph, d0: Divisor) -> int:
     """Order of the degree-0 class of d0: the first n with n*d0 ~ 0."""
     eng = _engine(g)
-    step = eng.raw(g, d0)
-    zero = (0,) * len(step)   # the key of the zero class in both encodings
-    bound = jacobian_order(g)
-    for n, key in enumerate(_walk(g, eng, eng.reduce(g, step), step), 1):
-        if key == zero:
-            return n
-        if n >= bound:
-            raise AlgorithmError("order iteration exceeded the class count")
+    return eng.order(g, eng.raw(g, d0))
 
 
 def weierstrass_partition(g: Graph, v: str, d: Divisor) -> WeierstrassPartition:

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chipfire
+from chipfire.banana import _raw_entries, _reduce_entries
 from chipfire.cli import _COMMANDS, _build_parser, run_command
+from chipfire.divisors import Divisor
 from chipfire.errors import SpecParseError
-from chipfire.graphs import Graph
+from chipfire.graphs import Graph, build_banana
 from chipfire.specfile import parse_spec
 
 FIG6_TEXT = """\
@@ -139,6 +146,30 @@ def test_parse_errors_carry_line_numbers():
 def test_cli_torsion_fig6(files, capsys):
     assert run_command(["torsion", files["fig6.graph"]]) == 0
     assert capsys.readouterr().out.strip() == "91"
+
+
+def test_cli_torsion_long_strands(tmp_path):
+    # [u - v] generates the whole class group, of order
+    # k = 997*991 + 997*983 + 991*983 = 101 * 29131, so the answer must not
+    # cost k reductions or an elimination on the 2,969 vertices; a separate
+    # process bounds the wait if it does
+    spec = tmp_path / "long.graph"
+    spec.write_text("banana 997 991 983\nmark u s0.1\nmark v s1.1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(chipfire.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "torsion", str(spec), "--json", "--timing"],
+        capture_output=True, text=True, env=env, timeout=30)
+    payload = json.loads(done.stdout)
+    k = 2942231
+    assert done.returncode == 0 and payload["result"] == {"torsion_order": k}
+    assert payload["elapsed_ms"] < 1000
+    # pinned independently: k(u - v) reduces to zero, (k/p)(u - v) does not
+    g = build_banana([997, 991, 983])
+    step = _raw_entries(g.banana, Divisor({"s0.1": 1, "s1.1": -1}))
+    assert _reduce_entries(g.banana.lengths, [k * x for x in step]) == (0, 0, 0)
+    for p in (101, 29131):
+        assert _reduce_entries(g.banana.lengths, [k // p * x for x in step]) != (0, 0, 0)
 
 
 def test_cli_kgt_exit_codes(files, capsys):

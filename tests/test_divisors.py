@@ -27,6 +27,20 @@ def test_divisor_arithmetic():
     assert Divisor({"a": 1}).is_effective()
 
 
+@pytest.mark.parametrize("coeffs", [{"a": 2.5}, [("a", 1.9)], [("b", "3")], {"a": 2.0}])
+def test_divisor_rejects_inexact_coefficients(coeffs):
+    with pytest.raises(TypeError):
+        Divisor(coeffs)
+
+
+def test_divisor_accepts_integer_like_coefficients():
+    class Chips:
+        def __index__(self):
+            return 3
+
+    assert Divisor({"a": True, "b": Chips()}).coeffs == {"a": 1, "b": 3}
+
+
 def test_dhar_four_cycle_hand_run():
     g = Graph(["q", "x1", "x2", "x3"],
               [("q", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "q")])

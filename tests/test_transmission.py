@@ -176,6 +176,42 @@ def test_class_order_edge_cases():
         assert tr._class_order(fig6, d0) == _walk_order(fig6, d0) == k
 
 
+def test_torsion_order_reduces_nothing(monkeypatch):
+    import chipfire.banana as bn
+    import chipfire.divisors as dv
+    import chipfire.graphs as gr
+
+    def forbidden(*args):
+        raise AssertionError("the torsion order reduced a class or counted classes")
+
+    for module, name in [(bn, "_reduce_entries"), (dv, "_reduce_vec"), (tr, "_reduced_key"),
+                         (tr, "jacobian_order"), (gr, "jacobian_order")]:
+        monkeypatch.setattr(module, name, forbidden)
+    fig6 = build_banana([5, 4, 4, 3, 3, 3, 3, 3, 3, 3])
+    plain = Graph(fig6.vertices, fig6.edges)
+    assert torsion_order(MarkedGraph(fig6, "s0.1", "s1.3")) == 728
+    assert torsion_order(MarkedGraph(plain, "s0.1", "s1.3")) == 728
+
+
+def test_kgt_computes_the_order_once(monkeypatch):
+    calls = []
+    real = tr._class_order
+
+    def counting(g, d0):
+        calls.append(d0)
+        return real(g, d0)
+
+    monkeypatch.setattr(tr, "_class_order", counting)
+    g = build_banana([2, 2, 2])
+    for mg in [MarkedGraph(g, "L", "R"),
+               MarkedGraph(Graph(g.vertices, g.edges), "s0.0", "s0.2")]:
+        calls.clear()
+        cert = kgt_check(mg, exhaustive=True)
+        assert cert.orbits_checked == 4 and cert.torsion == 3
+        assert len(calls) == 1
+        assert torsion_order(mg) == 3 and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # transmission permutations
 
