@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from chipfire.divisors import (_MAX_FIRING_ROUNDS, Divisor, _reduce_vec, _resolve_rds, _vec,
-                               canonical_divisor, dhar_reduce, enumerate_jacobian,
+from chipfire.divisors import (_MAX_FIRING_ROUNDS, Divisor, _from_vec, _reduce_vec,
+                               _resolve_rds, _vec, canonical_divisor, dhar_reduce, enumerate_jacobian,
                                is_reduced, linear_equivalent, rank, support_complex)
 from chipfire.errors import AlgorithmError, EnumerationCapError, InvalidGraphError
 from chipfire.graphs import (Graph, build_banana, build_cycle, build_general,
@@ -388,6 +388,54 @@ def test_enumerate_jacobian_classes_distinct(rng):
         assert a.degree == 0
         for b in classes[i + 1:]:
             assert not linear_equivalent(g, a, b)
+
+
+def _closure_jacobian(g):
+    """Reference enumeration: the closure of {0} under the single-chip
+    generators [w - base], deduplicated by reduced vector and sorted."""
+    n = len(g.vertices)
+    gens = []
+    for w in range(1, n):
+        vec = [0] * n
+        vec[w] = 1
+        vec[0] = -1
+        gens.append(vec)
+    start = tuple([0] * n)
+    seen = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        for gen in gens:
+            child = [a + b for a, b in zip(cur, gen)]
+            _reduce_vec(g, child, 0)
+            key = tuple(child)
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+    return [_from_vec(g, key) for key in sorted(seen)]
+
+
+def test_enumerate_jacobian_matches_closure(rng):
+    names = "abcde"
+    banana = build_banana([3, 2, 2, 1])
+    graphs = [Graph(["a"], []),
+              build_general(names, [(a, b) for a, b in zip(names, names[1:])]),
+              build_general(names, itertools.combinations(names, 2)),
+              Graph(banana.vertices, banana.edges)]
+    graphs += [random_connected_multigraph(rng, max_vertices=7, max_extra=5) for _ in range(40)]
+    assert any(m > 1 for g in graphs for m in g.edges.values())
+    for g in graphs:
+        classes = enumerate_jacobian(g)
+        assert classes == _closure_jacobian(g)
+        assert len(classes) == jacobian_order(g)
+    assert [len(enumerate_jacobian(g)) for g in graphs[:3]] == [1, 1, 125]
+
+
+def test_enumerate_jacobian_checks_the_class_count(monkeypatch):
+    g = build_theta(3, 4, 5)
+    monkeypatch.setattr("chipfire.graphs.jacobian_order", lambda g: 48)
+    with pytest.raises(AlgorithmError, match="found 47 classes, expected 48"):
+        enumerate_jacobian(g)
 
 
 def test_enumeration_cap_env(monkeypatch):
