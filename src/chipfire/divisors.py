@@ -108,25 +108,21 @@ class ReducedForm:
         return _from_vec(graph, vec)
 
 
-def _check_cap(g: Graph, cap: int | None = None) -> int:
+def _check_cap(g: Graph) -> int:
     """The class count of g, or EnumerationCapError if it exceeds the limit.
 
     The limit is the CHIPFIRE_CLASS_CAP environment variable, else
-    DEFAULT_CLASS_CAP; every class sweep checks it here before any work.  A
-    cap argument replaces it; only ``transmission._class_reps`` passes one on.
+    DEFAULT_CLASS_CAP; every class sweep checks it here before any work.
     """
     # imported at call time, so that bench/tracer.py's rebinding of
     # graphs.jacobian_order is seen
     from .graphs import jacobian_order
 
-    if cap is not None:
-        limit = cap
-    else:
-        env = os.environ.get("CHIPFIRE_CLASS_CAP")
-        try:
-            limit = int(env) if env else DEFAULT_CLASS_CAP
-        except ValueError:
-            raise ChipfireError(f"CHIPFIRE_CLASS_CAP={env!r} is not an integer") from None
+    env = os.environ.get("CHIPFIRE_CLASS_CAP")
+    try:
+        limit = int(env) if env else DEFAULT_CLASS_CAP
+    except ValueError:
+        raise ChipfireError(f"CHIPFIRE_CLASS_CAP={env!r} is not an integer") from None
     order = jacobian_order(g)
     if order > limit:
         raise EnumerationCapError(
@@ -273,13 +269,15 @@ def dhar_reduce(g: Graph, d: Divisor, q: str) -> ReducedForm:
     return ReducedForm(_from_vec(g, vec), g.vertices[qi], tuple(cert))
 
 
+def _vec_is_reduced(g: Graph, vec: list[int], q: int) -> bool:
+    if any(c < 0 for i, c in enumerate(vec) if i != q):
+        return False
+    return tuple(vec) == _reduced_key(g, vec, q)
+
+
 def is_reduced(g: Graph, d: Divisor, q: str) -> bool:
     """True iff d is already q-reduced: nonnegative off q and nothing to fire."""
-    qi = g.index(g.resolve(q))
-    vec = _vec(g, d)
-    if any(c < 0 for i, c in enumerate(vec) if i != qi):
-        return False
-    return tuple(vec) == _reduced_key(g, vec, qi)
+    return _vec_is_reduced(g, _vec(g, d), g.index(g.resolve(q)))
 
 
 def canonical_divisor(g: Graph) -> Divisor:
@@ -383,34 +381,30 @@ def class_key(g: Graph, d: Divisor) -> tuple[int, ...]:
 
 def enumerate_jacobian(g: Graph) -> list[Divisor]:
     """All degree-0 divisors reduced at the base vertex, one per class of the
-    Jacobian, sorted by coefficient vector.
-
-    Closure over the single-chip generators [w - base]; reduced vectors are the
-    dedup keys, so no group-structure machinery is needed.  Raises
-    EnumerationCapError before any work when the class count exceeds the
-    CHIPFIRE_CLASS_CAP limit (see ``_check_cap``).
+    Jacobian, sorted by coefficient vector: c - deg(c)*base for the
+    superstables c, the G-parking functions (Postnikov-Shapiro, Trans. AMS
+    2004).  They form an order ideal, so a walk from zero that moves one chip
+    at a time off the base, never onto a coordinate before the last one
+    raised, meets each exactly once.  The class count is checked before any
+    work (see ``_check_cap``) and against the number the walk finds.
     """
     order = _check_cap(g)
     n = len(g.vertices)
-    gens = []
-    for w in range(1, n):
-        vec = [0] * n
-        vec[w] = 1
-        vec[0] = -1
-        gens.append(vec)
-    start = tuple([0] * n)
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for gen in gens:
-            child = [a + b for a, b in zip(cur, gen)]
-            _reduce_vec(g, child, 0)
-            key = tuple(child)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    if len(seen) != order:
+    classes = [(0,) * n]
+    stack = [(classes[0], 1)]
+    while stack:
+        cur, lo = stack.pop()
+        for j in range(lo, n):
+            child = list(cur)
+            child[j] += 1
+            child[0] -= 1
+            if _vec_is_reduced(g, child, 0):
+                classes.append(tuple(child))
+                stack.append((classes[-1], j))
+    if len(classes) != order:
         raise AlgorithmError(
-            f"class enumeration found {len(seen)} classes, expected {order}")
-    return [_from_vec(g, key) for key in sorted(seen)]
+            f"class enumeration found {len(classes)} classes, expected {order}")
+    classes.sort()
+    for i, key in enumerate(classes):  # in place: each key is freed as its divisor is made
+        classes[i] = _from_vec(g, key)
+    return classes

@@ -242,9 +242,9 @@ def twist_orbit(mg: MarkedGraph, d: Divisor, degree: int) -> TwistOrbit:
     return TwistOrbit(d, degree, reps)
 
 
-def _class_reps(g: Graph, cap: int | None = None) -> Iterator[tuple]:
+def _class_reps(g: Graph) -> Iterator[tuple]:
     """One canonical degree-0 key per class, after the class-count check."""
-    _check_cap(g, cap)
+    _check_cap(g)
     yield from _engine(g).reps(g)
 
 

@@ -98,7 +98,7 @@ def test_criterion_04_banana_rank_oracle():
         g = build_banana(list(lengths))
         genus = g.genus
         base = Divisor.at(g.base_vertex)
-        for rep in _class_reps(g, None):
+        for rep in _class_reps(g):
             j = _rep_divisor(g, rep)
             for degree in range(0, 2 * genus + 1):
                 d = j + degree * base
@@ -236,7 +236,7 @@ def test_criterion_10_sci_lambda_identity():
     for mg in graphs:
         g = mg.graph
         du = Divisor.at(mg.u)
-        for rep in _class_reps(g, None):
+        for rep in _class_reps(g):
             j = _rep_divisor(g, rep)
             for shift in (0, 1, 3):
                 d = j + shift * du

@@ -287,14 +287,14 @@ def test_class_reps_generate_reduced_tuples_in_product_order():
         g = build_banana(list(lengths))
         filtered = [cand for cand in product(*[range(n + 1) for n in lengths])
                     if BananaTuple(g.banana, cand).is_reduced()]
-        assert list(_class_reps(g, None)) == filtered
+        assert list(_class_reps(g)) == filtered
         assert len(filtered) == jacobian_order(g)
 
 
 def test_tau_inv_twist_invariant():
     mg = MarkedGraph(build_theta(3, 1, 2), "s0.1", "s2.1")
     g = mg.graph
-    for rep in _class_reps(g, None):
+    for rep in _class_reps(g):
         j = _rep_divisor(g, rep)
         base = inv_k(transmission_permutation(mg, j))
         for a, b in [(1, 0), (0, 1), (2, 1), (3, 0), (1, 2)]:
@@ -438,7 +438,7 @@ def test_partition_matches_sign_changes():
 def test_partition_invariant_under_mark_multiples():
     mg = MarkedGraph(build_theta(4, 1, 4), "s0.1", "s2.1")
     g = mg.graph
-    for rep in list(_class_reps(g, None))[:6]:
+    for rep in list(_class_reps(g))[:6]:
         d = _rep_divisor(g, rep)
         lam = weierstrass_partition(g, mg.v, d)
         for l in (1, 2, 5):
@@ -453,7 +453,7 @@ def test_sci_lambda_identity_sweep():
     for mg in graphs:
         g = mg.graph
         du = Divisor.at(mg.u)
-        for rep in _class_reps(g, None):
+        for rep in _class_reps(g):
             j = _rep_divisor(g, rep)
             for dd in (0, 1, 3):
                 d = j + dd * du
@@ -534,7 +534,7 @@ def test_genus2_five_case_decomposition():
         g = mg.graph
         kdiv = canonical_divisor(g)
         du, dv = Divisor.at(mg.u), Divisor.at(mg.v)
-        for rep in _class_reps(g, None):
+        for rep in _class_reps(g):
             d = _rep_divisor(g, rep) + 2 * Divisor.at(g.base_vertex)
             tau = transmission_permutation(mg, d)
             for t in range(tau.modulus):
@@ -565,7 +565,7 @@ def test_genus2_inversion_count_formula():
         g = mg.graph
         kdiv = canonical_divisor(g)
         marks = Divisor.at(mg.u) + Divisor.at(mg.v)
-        for rep in _class_reps(g, None):
+        for rep in _class_reps(g):
             for dd in (0, 1, 2, 3):
                 d = _rep_divisor(g, rep) + dd * Divisor.at(g.base_vertex)
                 tau = transmission_permutation(mg, d)
