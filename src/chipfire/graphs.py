@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Mapping
 
 from .errors import AlgorithmError, InvalidGraphError, WrongShapeError
@@ -23,6 +24,7 @@ class BananaSpec:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(index(n) for n in self.lengths))
         if len(self.lengths) < 2:
             raise InvalidGraphError("a banana graph needs at least two strands")
         if any(n < 1 for n in self.lengths):
@@ -117,6 +119,7 @@ class Graph:
                 raise InvalidGraphError(f"edge endpoint not a vertex: {(a, b)}")
             if a == b:
                 raise InvalidGraphError(f"self-loop at {a!r} not allowed")
+            m = index(m)
             if m < 1:
                 raise InvalidGraphError("edge multiplicity must be positive")
             counter[_canon_edge(a, b)] += m
@@ -226,7 +229,7 @@ class MarkedGraph:
 
 def build_banana(lengths: Iterable[int]) -> Graph:
     """Two hub vertices joined by one path per entry of lengths."""
-    spec = BananaSpec(tuple(int(n) for n in lengths))
+    spec = BananaSpec(tuple(lengths))
     edges: Counter = Counter()
     for alpha, n in enumerate(spec.lengths):
         for i in range(n):

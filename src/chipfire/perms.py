@@ -9,6 +9,7 @@ through reduced words of simple reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import AlgorithmError, InvalidGraphError
 
@@ -19,14 +20,15 @@ class EafPerm:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        k = self.modulus
+        k = index(self.modulus)
         if k < 1:
             raise InvalidGraphError("modulus must be >= 1")
-        window = tuple(int(x) for x in self.window)
+        window = tuple(index(x) for x in self.window)
         if len(window) != k:
             raise InvalidGraphError("window length must equal the modulus")
         if len({x % k for x in window}) != k:
             raise InvalidGraphError("window residues must be distinct: not a bijection")
+        object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "window", window)
         if (sum(window) - k * (k - 1) // 2) % k:
             raise AlgorithmError("window shift is not integral")
@@ -90,7 +92,7 @@ class EafPerm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "EafPerm":
-        return EafPerm(int(data["modulus"]), tuple(data["window"]))
+        return EafPerm(data["modulus"], tuple(data["window"]))
 
     def __repr__(self):
         return f"EafPerm(k={self.modulus}, window={list(self.window)})"

@@ -2,7 +2,7 @@ import pytest
 
 from chipfire.divisors import Divisor, rank
 from chipfire.errors import InvalidGraphError
-from chipfire.graphs import (MarkedGraph, build_banana, build_cycle,
+from chipfire.graphs import (BananaSpec, Graph, MarkedGraph, build_banana, build_cycle,
                              build_general, build_theta, chain_glue,
                              contract_bridges, jacobian_order, vertex_glue)
 
@@ -37,6 +37,13 @@ def test_banana_bad_lengths():
         build_banana([2, -1])
 
 
+@pytest.mark.parametrize("build", [lambda: build_banana([2.5, 3]), lambda: build_banana(["2", 3]),
+                                   lambda: BananaSpec((2, 3.0))])
+def test_banana_rejects_inexact_lengths(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_banana_vertex_naming():
     g = build_banana([2, 3])
     # shared endpoints resolve to one id each; interiors unique
@@ -66,6 +73,12 @@ def test_build_general_errors():
         build_general(["a", "b", "c"], [("a", "b")])  # disconnected
     with pytest.raises(InvalidGraphError):
         build_general(["a"], [("a", "x")])
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, "2"])
+def test_graph_rejects_inexact_multiplicities(m):
+    with pytest.raises(TypeError):
+        Graph(["a", "b"], {("a", "b"): m})
 
 
 def test_vertex_glue_examples():

@@ -41,6 +41,14 @@ def test_validation():
     assert p(0) == 2 and p(3) == 5 and p(-3) == -1
 
 
+@pytest.mark.parametrize("build", [lambda: EafPerm(2, (0.0, 1.9)), lambda: EafPerm(2.0, (0, 1)),
+                                   lambda: EafPerm.from_json_dict({"modulus": "2", "window": [0, 1]}),
+                                   lambda: EafPerm.from_json_dict({"modulus": 2, "window": ["1", 0]})])
+def test_rejects_inexact_modulus_and_window(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_periodicity_round_trip(rng):
     for _ in range(20):
         k = rng.randint(1, 6)
