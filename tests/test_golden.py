@@ -23,12 +23,12 @@ INPUTS = GOLDEN / "inputs"
 MANIFEST = GOLDEN / "manifest.json"
 
 COMMANDS = ("rank", "reduce", "tau", "delta", "submodular", "torsion", "kgt",
-            "bn", "bn-marked", "census", "certify-chain", "classify")
+            "kgt-exhaustive", "bn", "bn-marked", "census", "certify-chain", "classify")
 WITNESS_SOURCES = ("submodular", "tau", "kgt", "bn", "bn-marked", "classify")
 
 # input -> (vertex for bn --marked, labels left out because they are slow)
 INPUT_CASES = {
-    "fig6.graph": ("L", {"bn", "bn-marked", "census"}),
+    "fig6.graph": ("L", {"bn", "bn-marked", "census", "kgt-exhaustive"}),
     "banana3333.graph": ("L", set()),
     "hubs1111.graph": ("L", set()),
     "theta414.graph": ("L", set()),
@@ -67,6 +67,8 @@ def _argv(name: str, label: str) -> list[str]:
     path = str(INPUTS / name)
     if label == "bn-marked":
         return ["bn", path, "--marked", marked, "--json"]
+    if label == "kgt-exhaustive":
+        return ["kgt", path, "--exhaustive", "--json"]
     if label.startswith("verify-witness@"):
         source = GOLDEN / f"{name}.{label.split('@', 1)[1]}.json"
         return ["verify-witness", path, str(source), "--json"]
