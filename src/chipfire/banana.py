@@ -17,6 +17,12 @@ Q + W(m) zero slots to full gives the reduced tuple.  Since
 Q + W(m) = sum((a + m) // n), the least m is bisected from a bracket of
 width about (g+1)/sum(1/n) <= max(n), so a reduction costs O(g log max n)
 integer operations whatever the size of the coefficients.
+
+Rank needs less than the reduced tuple.  At the least m the nonzero
+residues are the strand chips of the base-reduced divisor and Q + W(m) is
+its count of right-hub chips, so ``_entries_profile`` reads this
+(strand, right-hub) profile straight off the shifted entries, and the rank
+at any degree is ``banana_rank`` arithmetic on it.
 """
 
 from __future__ import annotations
@@ -95,9 +101,9 @@ def _wrap_rate(lengths: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     return sum(weights), den, weights
 
 
-def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
-    """Reduced tuple of the class of entries, at the least m with
-    Q + W(m) = sum((entries + m) // lengths) >= 0 (see the module docstring)."""
+def _least_shift(lengths: tuple[int, ...], entries) -> int:
+    """The least m with Q + W(m) = sum((entries + m) // lengths) >= 0 (see the
+    module docstring), bisected from an integer bracket."""
     num, den, weights = _wrap_rate(lengths)
     # each floor loses at most (n-1)/n, so with x = (m*num + c)/den the sum
     # lies in [x - len + num/den, x]: it is < 0 at lo and >= 0 at hi
@@ -110,7 +116,13 @@ def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
             hi = mid
         else:
             lo = mid
-    shifted = [a + hi for a in entries]
+    return hi
+
+
+def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
+    """Reduced tuple of the class of entries, at the least shift m."""
+    m = _least_shift(lengths, entries)
+    shifted = [a + m for a in entries]
     out = list(map(mod, shifted, lengths))
     nfull = sum(map(floordiv, shifted, lengths))
     zeros = [i for i, x in enumerate(out) if x == 0]
@@ -120,6 +132,48 @@ def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
     for i in zeros[:nfull]:
         out[i] = lengths[i]
     return tuple(out)
+
+
+def _entries_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
+    """(strand chips, right-hub chips) of the base-reduced divisor of the class
+    of entries, read off the entries at the least shift without building the
+    reduced tuple: the nonzero residues and the quotient sum."""
+    m = _least_shift(lengths, entries)
+    shifted = [a + m for a in entries]
+    strand = len(lengths) - list(map(mod, shifted, lengths)).count(0)
+    full = sum(map(floordiv, shifted, lengths))
+    if full >= len(lengths) - strand:
+        raise AlgorithmError("tuple reduction left no zero entry; this is a bug")
+    return strand, full
+
+
+def _reduced_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
+    """(strand chips, right-hub chips) read off a reduced tuple: its entries
+    strictly inside their strands and its full entries."""
+    strand = full = 0
+    for a, n in zip(entries, lengths):
+        if a == n:
+            full += 1
+        elif a:
+            strand += 1
+    return strand, full
+
+
+def _profile_ranks(genus: int, profile: tuple[int, int], degrees: range) -> list[int]:
+    """Ranks at a range of degrees of a class with the given (strand,
+    right-hub) profile: ``banana_rank`` with the rest of each degree on the
+    left hub, the shape valid by construction.  In the left-hub chips a the
+    rank is -1 below zero, a up to full, full up to genus - strand and then
+    rises by one per chip again; the list is built piece by piece."""
+    strand, full = profile
+    free = genus - strand
+    lo, hi = degrees.start - strand - full, degrees.stop - strand - full
+    if hi - lo == 1:  # one degree, the common query off the base direction
+        return [-1 if lo < 0 else min(lo, full) + max(0, lo - free)]
+    return ([-1] * len(range(lo, min(hi, 0)))
+            + list(range(max(lo, 0), min(hi, full + 1)))
+            + [full] * len(range(max(lo, full + 1), min(hi, free + 1)))
+            + list(range(max(lo, free + 1) + full - free, hi + full - free)))
 
 
 def _entries_order(lengths: tuple[int, ...], entries) -> int:
@@ -189,9 +243,8 @@ def _reduced_rank(lengths: tuple[int, ...], entries, degree: int) -> int:
     """Rank at a degree of the class with reduced tuple entries: its
     base-reduced divisor has one chip on the right hub per full entry, one
     strand chip per other nonzero entry and the rest on the left hub."""
-    nonzero = sum(1 for a in entries if a)
-    full = sum(1 for a, n in zip(entries, lengths) if a == n)
-    return banana_rank(degree - nonzero, full, nonzero - full, len(lengths) - 1)
+    strand, full = _reduced_profile(lengths, entries)
+    return banana_rank(degree - strand - full, full, strand, len(lengths) - 1)
 
 
 def rank_of_tuple(t: BananaTuple, degree: int) -> int:
@@ -209,8 +262,10 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
 
 
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
-    """Rank of the class with unreduced entry vector raw_entries at a degree."""
-    return _reduced_rank(spec.lengths, _reduce_entries(spec.lengths, raw_entries), degree)
+    """Rank of the class with unreduced entry vector raw_entries at a degree,
+    from its profile: no reduced tuple is built."""
+    strand, full = _entries_profile(spec.lengths, raw_entries)
+    return banana_rank(degree - strand - full, full, strand, spec.genus)
 
 
 def predicted_tau(case: str, lengths, b: int) -> int | None:

@@ -27,10 +27,13 @@ from .errors import (AlgorithmError, DegenerateMarksError, NonSubmodularError,
                      WrongShapeError)
 from .graphs import Graph, MarkedGraph, _branch_walks, _bridges, jacobian_order
 from .perms import inv_k
-from .transmission import (_class_order, _class_rank, _class_reps,
-                           _rep_divisor, all_submodular, delta, kgt_check,
-                           recurrence_witness, torsion_order,
-                           transmission_permutation, weierstrass_partition)
+from .transmission import (_class_order, _class_reps, _engine, _line_ranks,
+                           _partition, _rep_divisor, all_submodular, delta,
+                           kgt_check, recurrence_witness, torsion_order,
+                           transmission_permutation)
+# weierstrass_partition is unused here but stays importable by this path,
+# where bench/tracer.py rebinds it
+from .transmission import weierstrass_partition  # noqa: F401
 
 CERTIFIED_GENERAL = "CERTIFIED_GENERAL"
 NOT_GENERAL = "NOT_GENERAL"
@@ -72,26 +75,28 @@ def rho(g: int, r: int, d: int) -> int:
 
 
 def divisor_census(g: Graph) -> list[CensusEntry]:
-    """Per-degree maximal ranks over 0..2g-2, each with a witness divisor.
+    """Per-degree maximal ranks over 0..2g-2, each with a witness divisor:
+    the first class in ``_class_reps`` order to reach the maximum.
 
     Degrees outside the window are determined by Riemann-Roch (rank -1 below
-    zero, degree - genus above 2g-2) and are not listed.
+    zero, degree - genus above 2g-2) and are not listed.  Each class is one
+    line along the base vertex, so on a banana its ranks come from one
+    profile read off its key.
     """
     genus = g.genus
+    eng = _engine(g)
     base = Divisor.at(g.base_vertex)
-    entries = []
-    best: dict[int, tuple[int, Divisor]] = {}
+    dbase = eng.raw(g, base)
+    degrees = range(0, max(2 * genus - 1, 1))
+    best: dict[int, tuple[int, tuple]] = {}
     for rep in _class_reps(g):
-        j = _rep_divisor(g, rep)
-        for degree in range(0, max(2 * genus - 1, 1)):
-            d = j + degree * base
-            r = _class_rank(g, d)
+        memo = {rep: eng.key_profile(g, rep)}
+        for degree, r in zip(degrees, _line_ranks(g, rep, dbase, 0, degrees, memo)):
             if degree not in best or r > best[degree][0]:
-                best[degree] = (r, d)
-    for degree in sorted(best):
-        r, witness = best[degree]
-        entries.append(CensusEntry(degree, r, rho(genus, r, degree), witness))
-    return entries
+                best[degree] = (r, rep)
+    return [CensusEntry(degree, r, rho(genus, r, degree),
+                        _rep_divisor(g, rep) + degree * base)
+            for degree, (r, rep) in sorted(best.items())]
 
 
 def bn_general_unmarked(g: Graph) -> Certificate:
@@ -119,24 +124,24 @@ def bn_general_marked(g: Graph, v: str) -> Certificate:
     """
     v = g.resolve(v)
     genus = g.genus
-    worst = None
+    eng = _engine(g)
+    dv = eng.raw(g, Divisor.at(v))
+    worst = 0
     for rep in _class_reps(g):
-        d = _rep_divisor(g, rep)
-        lam = weierstrass_partition(g, v, d)
+        lam = _partition(g, rep, 0, dv, {rep: eng.key_profile(g, rep)})
         if lam.size > genus:
             return Certificate(NOT_GENERAL, "partition-sweep", {
                 "genus": genus,
                 "mark": v,
-                "witness": d,
+                "witness": _rep_divisor(g, rep),
                 "partition": list(lam.parts),
                 "size": lam.size,
             })
-        if worst is None or lam.size > worst[0]:
-            worst = (lam.size, d)
+        worst = max(worst, lam.size)
     return Certificate(CERTIFIED_GENERAL, "partition-sweep", {
         "genus": genus,
         "mark": v,
-        "max_partition_size": worst[0] if worst else 0,
+        "max_partition_size": worst,
     })
 
 

@@ -35,29 +35,53 @@ from .perms import EafPerm, inv_k
 class _Engine(NamedTuple):
     """One encoding of the degree-0 class group of a graph g.
 
-    raw(g, d) gives linear coordinates of a divisor, reduce(g, raw) the
-    canonical key of a degree-0 class, rank(g, raw, degree) the rank of the
-    class at that degree, order(g, raw) the order of a degree-0 class in
-    closed form, reps(g) one key per class and divisor(g, key) a divisor of
-    the class.
+    raw(g, d) gives linear coordinates of a divisor in which the base vertex
+    is zero, so they do not see the degree, and reduce(g, raw) the canonical
+    key of a degree-0 class.  Rank is split in two: profile(g, raw) is what
+    the rank of the class of raw depends on besides the degree,
+    key_profile(g, key) the same for a canonical key, and
+    ranks(g, profile, degrees) the ranks at a range of degrees.  order(g, raw)
+    is the order of a degree-0 class in closed form, reps(g) one key per
+    class and divisor(g, key) a divisor of the class.
     """
 
     raw: Callable[[Graph, Divisor], list[int]]
     reduce: Callable[[Graph, list[int]], tuple]
-    rank: Callable[[Graph, list[int], int], int]
+    profile: Callable[[Graph, list[int]], tuple]
+    key_profile: Callable[[Graph, tuple], tuple]
+    ranks: Callable[[Graph, tuple, range], list[int]]
     order: Callable[[Graph, list[int]], int]
     reps: Callable[[Graph], Iterator[tuple]]
     divisor: Callable[[Graph, tuple], Divisor]
 
 
+# The profile is (strand chips, right-hub chips) of the base-reduced divisor,
+# read off the shifted entries or off the reduced tuple, and rank at a degree
+# is arithmetic on it.
 _TUPLES = _Engine(
     lambda g, d: _bn._raw_entries(g.banana, d),
     lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
-    lambda g, raw, degree: _bn.rank_entries(g.banana, raw, degree),
+    lambda g, raw: _bn._entries_profile(g.banana.lengths, raw),
+    lambda g, key: _bn._reduced_profile(g.banana.lengths, key),
+    lambda g, profile, degrees: _bn._profile_ranks(g.banana.genus, profile, degrees),
     lambda g, raw: _bn._entries_order(g.banana.lengths, raw),
     lambda g: _bn._reduced_tuples(g.banana.lengths),
     lambda g, key: _bn.tuple_to_reduced_divisor(
         _bn.BananaTuple(g.banana, key), 0).to_divisor(g.banana))
+
+
+def _vector_raw(g: Graph, d: Divisor) -> list[int]:
+    """The coefficient vector of d - deg(d)*base."""
+    vec = _vec(g, d)
+    vec[0] -= d.degree
+    return vec
+
+
+def _vector_ranks(g: Graph, profile: tuple, degrees: range) -> list[int]:
+    """Ranks of profile + degree*base: rank reduces each and runs the cached
+    descent."""
+    rest = list(profile[1:])
+    return [rank(g, [profile[0] + degree] + rest) for degree in degrees]
 
 
 def _vector_order(g: Graph, raw: list[int]) -> int:
@@ -67,10 +91,13 @@ def _vector_order(g: Graph, raw: list[int]) -> int:
     return det // gcd(det, *y)
 
 
+# A degree-0 coefficient vector, reduced or not, is its own profile.
 _VECTORS = _Engine(
-    _vec,
+    _vector_raw,
     lambda g, raw: _reduced_key(g, raw, 0),
-    lambda g, raw, degree: rank(g, raw),
+    lambda g, raw: tuple(raw),
+    lambda g, key: key,
+    _vector_ranks,
     _vector_order,
     lambda g: (tuple(_vec(g, d)) for d in enumerate_jacobian(g)),
     _from_vec)
@@ -83,7 +110,27 @@ def _engine(g: Graph) -> _Engine:
 
 def _class_rank(g: Graph, d: Divisor) -> int:
     eng = _engine(g)
-    return eng.rank(g, eng.raw(g, d), d.degree)
+    return eng.ranks(g, eng.profile(g, eng.raw(g, d)), range(d.degree, d.degree + 1))[0]
+
+
+def _line_ranks(g: Graph, raw, step, degree: int, ts: range, memo: dict) -> list[int]:
+    """[r(raw + t*step) at degree + t for t in ts], each class profiled once
+    per memo, which maps raw coordinate tuples to profiles.  A step with zero
+    coordinates (along the base vertex, or the left hub on bananas) keeps the
+    line in one class."""
+    eng = _engine(g)
+
+    def profile(x):
+        key = tuple(x)
+        prof = memo.get(key)
+        if prof is None:
+            prof = memo[key] = eng.profile(g, x)
+        return prof
+
+    if any(step):
+        return [eng.ranks(g, profile([x + t * s for x, s in zip(raw, step)]),
+                          range(degree + t, degree + t + 1))[0] for t in ts]
+    return eng.ranks(g, profile(raw), range(degree + ts.start, degree + ts.stop))
 
 
 class SubmodularityVerdict(NamedTuple):
@@ -145,49 +192,55 @@ class KgtCertificate:
         }
 
 
-def _twist_rank_fn(mg: MarkedGraph, d: Divisor) -> Callable[[int, int], int]:
-    """Memoized (a, b) -> r(D + a*u - b*v)."""
+def _twist_columns(mg: MarkedGraph, raw, degree: int,
+                   keys: tuple = ()) -> Callable[[int, range], list[int]]:
+    """(c, ts) -> [r(D + (c + t)*u - c*v) for t in ts] for the divisor D with
+    coordinates raw and the given degree.
+
+    Column c is the line from D + c*(u - v), at D's degree, in the direction
+    of u.  The columns share one memo, so on a banana a column is one class
+    when u is the left hub and a row is one class when v is.  keys, when
+    given, are the reduced keys of the column origins (the orbit keys of a
+    degree-0 class key D), and they seed the memo.
+    """
     g = mg.graph
     eng = _engine(g)
-    base, du, dv = (eng.raw(g, x) for x in (d, Divisor.at(mg.u), Divisor.at(mg.v)))
-    deg0 = d.degree
-    cache: dict[tuple[int, int], int] = {}
+    du, dv = eng.raw(g, Divisor.at(mg.u)), eng.raw(g, Divisor.at(mg.v))
+    step = [x - y for x, y in zip(du, dv)]
 
-    def r(a: int, b: int) -> int:
-        val = cache.get((a, b))
-        if val is None:
-            raw = [x + a * y - b * z for x, y, z in zip(base, du, dv)]
-            val = eng.rank(g, raw, deg0 + a - b)
-            cache[(a, b)] = val
-        return val
-    return r
+    def origin(c: int) -> list[int]:
+        return [x + c * s for x, s in zip(raw, step)]
+
+    memo = {tuple(origin(c)): eng.key_profile(g, key) for c, key in enumerate(keys)}
+    return lambda c, ts: _line_ranks(g, origin(c), du, degree, ts, memo)
 
 
 def delta(mg: MarkedGraph, d: Divisor) -> int:
     """r(D) - r(D-u) - r(D-v) + r(D-u-v); for u = v that is r(D) - 2r(D-u) + r(D-2u)."""
-    return _second_difference(_twist_rank_fn(mg, d), 0, 0)
+    g = mg.graph
+    column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
+    (r_u, r), (r_uv, r_v) = column(0, range(-1, 1)), column(1, range(-2, 0))
+    return r - r_u - r_v + r_uv
 
 
-def _second_difference(r: Callable[[int, int], int], a: int, b: int) -> int:
-    """The second difference of the twist ranks r at D + a*u - b*v."""
-    return r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-
-
-def _second_differences(mg: MarkedGraph, d: Divisor,
-                        k: int) -> Iterator[tuple[int, int, int]]:
-    """(a, b, second difference at D + a*u - b*v) for each window slot b in
-    0..k-1 and each a in its Riemann-Roch range.
+def _second_differences(column: Callable[[int, range], list[int]], genus: int,
+                        degree: int, k: int) -> Iterator[tuple[int, list[int]]]:
+    """(b, second differences at D + a*u - b*v) for each window slot b in
+    0..k-1, over a = b - degree .. b - degree + 2g (its Riemann-Roch range),
+    from the twist columns of D.
 
     Only twist degrees 0..2g can carry a nonzero value (the four ranks cancel
     outside by Riemann-Roch), and within a degree only k twist classes exist,
-    so this grid is finite and complete.
+    so this grid is finite and complete.  Every column is computed once, and
+    column k is column 0, because k*(u - v) ~ 0 gives r(a, b + k) = r(a - k, b).
     """
-    genus = mg.graph.genus
-    r = _twist_rank_fn(mg, d)
-    deg = d.degree
+    ts = range(-degree - 2, -degree + 2 * genus + 1)
+    first = cur = column(0, ts)
     for b in range(k):
-        for a in range(b - deg, b - deg + 2 * genus + 1):
-            yield a, b, _second_difference(r, a, b)
+        nxt = column(b + 1, ts) if b + 1 < k else first
+        # cur[j] = r(b - degree - 2 + j, b) and nxt[j] = r(b - degree - 1 + j, b + 1)
+        yield b, [c2 - c1 - n1 + n0 for c2, c1, n1, n0 in zip(cur[2:], cur[1:], nxt[1:], nxt)]
+        cur = nxt
 
 
 def _twist_divisor(mg: MarkedGraph, d: Divisor, a: int, b: int) -> Divisor:
@@ -196,9 +249,13 @@ def _twist_divisor(mg: MarkedGraph, d: Divisor, a: int, b: int) -> Divisor:
 
 def is_submodular_divisor(mg: MarkedGraph, d: Divisor) -> SubmodularityVerdict:
     """Check the second difference on every twist of d."""
-    for a, b, val in _second_differences(mg, d, torsion_order(mg)):
-        if val < 0:
-            return SubmodularityVerdict(False, _twist_divisor(mg, d, a, b), val)
+    g = mg.graph
+    column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
+    for b, vals in _second_differences(column, g.genus, d.degree, torsion_order(mg)):
+        if min(vals) < 0:
+            i = next(i for i, val in enumerate(vals) if val < 0)
+            return SubmodularityVerdict(False, _twist_divisor(mg, d, b - d.degree + i, b),
+                                        vals[i])
     return SubmodularityVerdict(True, None, None)
 
 
@@ -220,14 +277,25 @@ def transmission_permutation(mg: MarkedGraph, d: Divisor) -> EafPerm:
     """
     if mg.degenerate:
         raise DegenerateMarksError("transmission is undefined for coincident marks")
+    g = mg.graph
+    column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
+    return _permutation(mg, column, d.degree, lambda: d)
+
+
+def _permutation(mg: MarkedGraph, column: Callable[[int, range], list[int]],
+                 degree: int, divisor: Callable[[], Divisor]) -> EafPerm:
+    """The transmission permutation from the twist columns of a divisor D of
+    the given degree; divisor() builds D only for a non-submodular witness."""
     k = torsion_order(mg)
     window: list[int | None] = [None] * k
-    for a, b, val in _second_differences(mg, d, k):
-        if val == 0:
-            continue
-        if val != 1 or window[b] is not None:
-            raise NonSubmodularError(_twist_divisor(mg, d, a, b), val)
-        window[b] = a
+    for b, vals in _second_differences(column, mg.graph.genus, degree, k):
+        # the first nonzero value may be the slot's 1; any other is a witness
+        slots = [i for i, val in enumerate(vals) if val]
+        if slots and vals[slots[0]] == 1:
+            window[b] = b - degree + slots.pop(0)
+        if slots:
+            i = slots[0]
+            raise NonSubmodularError(_twist_divisor(mg, divisor(), b - degree + i, b), vals[i])
     if None in window:
         raise AlgorithmError(
             f"no window value found at slot {window.index(None)}; this is a bug")
@@ -265,22 +333,32 @@ def _orbit_keys(mg: MarkedGraph, rep: tuple, k: int) -> list[tuple]:
 
 def all_submodular(mg: MarkedGraph) -> SubmodularityVerdict:
     """Second difference >= 0 for one representative of every class of every
-    degree that can matter (0..2g)."""
+    degree that can matter (0..2g).
+
+    Per class the four lines D, D-u, D-v and D-u-v run along the base vertex
+    through the degrees, so on a banana each is one class.
+    """
     g = mg.graph
-    genus = g.genus
-    base = Divisor.at(g.base_vertex)
+    eng = _engine(g)
+    du, dv, dbase = (eng.raw(g, Divisor.at(x)) for x in (mg.u, mg.v, g.base_vertex))
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    degrees = range(0, 2 * g.genus + 1)
     for rep in _class_reps(g):
-        j = _rep_divisor(g, rep)
-        for degree in range(0, 2 * genus + 1):
-            d = j + degree * base
-            val = delta(mg, d)
+        memo: dict = {}
+        r, r_u, r_v, r_uv = (
+            _line_ranks(g, [x - i * y - j * z for x, y, z in zip(rep, du, dv)],
+                        dbase, -i - j, degrees, memo) for i, j in corners)
+        for degree in degrees:
+            val = r[degree] - r_u[degree] - r_v[degree] + r_uv[degree]
             if val < 0:
+                d = _rep_divisor(g, rep) + degree * Divisor.at(g.base_vertex)
                 return SubmodularityVerdict(False, d, val)
     return SubmodularityVerdict(True, None, None)
 
 
-def _ordered_orbit_reps(mg: MarkedGraph, k: int) -> Iterator[Divisor]:
-    """One degree-0 divisor per orbit of the class group under [u - v].
+def _ordered_orbit_reps(mg: MarkedGraph, k: int) -> Iterator[tuple[tuple, list[tuple]]]:
+    """One degree-0 key per orbit of the class group under [u - v], with the
+    orbit's keys (rep + c*(u - v) for c in 0..k-1).
 
     On bananas the orbit of [g(R - L)] comes first: it carries the known
     extremal permutations, so failing graphs fail fast.
@@ -294,8 +372,9 @@ def _ordered_orbit_reps(mg: MarkedGraph, k: int) -> Iterator[Divisor]:
     seen: set[tuple] = set()
     for rep in chain(heads, _class_reps(g)):
         if rep not in seen:
-            seen.update(_orbit_keys(mg, rep, k))
-            yield eng.divisor(g, rep)
+            keys = _orbit_keys(mg, rep, k)
+            seen.update(keys)
+            yield rep, keys
 
 
 def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
@@ -303,8 +382,9 @@ def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
 
     Walks one representative per twist orbit (inversion counts are constant on
     orbits; that invariance is itself property-tested), computing each
-    transmission permutation and its inversion count.  A FAIL returns as soon
-    as a witness appears unless exhaustive is set.
+    transmission permutation and its inversion count from the class keys;
+    the orbit keys already reduced are the twist columns' origins.  A FAIL
+    returns as soon as a witness appears unless exhaustive is set.
     """
     if mg.degenerate:
         raise DegenerateMarksError("k-general transmission needs distinct marks")
@@ -317,10 +397,11 @@ def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
     orbits = 0
     nonsub = None
     complete = True
-    for rep in _ordered_orbit_reps(mg, k):
+    for rep, keys in _ordered_orbit_reps(mg, k):
         orbits += 1
         try:
-            tau = transmission_permutation(mg, rep)
+            tau = _permutation(mg, _twist_columns(mg, rep, 0, keys), 0,
+                               lambda: _rep_divisor(g, rep))
         except NonSubmodularError as err:
             nonsub = err.witness
             complete = False
@@ -333,6 +414,8 @@ def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
             break
     # the first orbit either raises or sets max_inv, and a PASS never breaks
     verdict = "PASS" if nonsub is None and max_inv <= genus else "FAIL"
+    if extremal is not None:
+        extremal = _rep_divisor(g, extremal)
     return KgtCertificate(verdict, k, genus, max_inv, extremal, nonsub,
                           orbits, count, complete)
 
@@ -368,21 +451,27 @@ def _class_order(g: Graph, d0: Divisor) -> int:
 
 
 def weierstrass_partition(g: Graph, v: str, d: Divisor) -> WeierstrassPartition:
-    """Pole orders s_i = min{l : r(D + l*v) >= i} and their excess parts.
+    """Pole orders s_i = min{l : r(D + l*v) >= i} and their excess parts."""
+    v = g.resolve(v)
+    eng = _engine(g)
+    return _partition(g, eng.raw(g, d), d.degree, eng.raw(g, Divisor.at(v)), {})
+
+
+def _partition(g: Graph, raw, degree: int, dv, memo: dict) -> WeierstrassPartition:
+    """The Weierstrass partition of the divisor with coordinates raw at a
+    degree, for the mark with coordinates dv.
 
     Rank rises by at most one per added chip, so one upward scan of l meets
     s_0 < s_1 < ... in turn (hence nonincreasing parts), up to the first zero
     part, which Riemann-Roch places by l = 2g - deg D."""
-    v = g.resolve(v)
     genus = g.genus
-    deg = d.degree
     parts: list[int] = []
     orders: list[int] = []
-    for l in range(-deg, 2 * genus - deg + 1):
+    for l in range(-degree, 2 * genus - degree + 1):
         i = len(parts)
-        if _class_rank(g, d + Divisor.at(v, l)) < i:
+        if _line_ranks(g, raw, dv, degree, range(l, l + 1), memo)[0] < i:
             continue
-        lam = i - l + genus - deg
+        lam = i - l + genus - degree
         if lam < 0:
             raise AlgorithmError("negative partition part; this is a bug")
         if lam == 0:

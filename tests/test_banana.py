@@ -4,13 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chipfire.banana as bn
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
-                             BananaTuple, _reduce_entries, banana_rank,
-                             divisor_to_tuple,
+                             BananaTuple, _entries_profile, _profile_ranks,
+                             _reduce_entries, _reduced_profile, _reduced_rank,
+                             banana_rank, divisor_to_tuple,
                              inversion_lower_bound, predicted_tau,
-                             reduce_tuple, tuple_to_reduced_divisor)
+                             rank_entries, reduce_tuple,
+                             tuple_to_reduced_divisor)
 from chipfire.divisors import Divisor, class_key, linear_equivalent, rank
-from chipfire.errors import InvalidGraphError, WrongShapeError
+from chipfire.errors import AlgorithmError, InvalidGraphError, WrongShapeError
 from chipfire.graphs import BananaSpec, MarkedGraph, build_banana
 from chipfire.perms import inv_k
 from chipfire.transmission import (_class_rank, torsion_order,
@@ -136,6 +139,48 @@ def test_reduce_entries_huge_relation_multiples(case, big, a, b):
     moved[b] -= big * lengths[b]
     assert _reduce_entries(lengths, moved) == out
     assert _reduce_entries(lengths, [e + big for e in entries]) == out
+
+
+@st.composite
+def _kernel_case(draw):
+    """2-8 strands of length 1-6, entries up to 10^30 in size, a degree in
+    -5..3g."""
+    lengths = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=8)))
+    bound = draw(st.sampled_from([10, 10 ** 4, 10 ** 30]))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=len(lengths),
+                            max_size=len(lengths)))
+    degree = draw(st.integers(-5, 3 * (len(lengths) - 1)))
+    return lengths, entries, degree
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_case())
+@example(((5, 4, 4, 3, 3, 3, 3, 3, 3, 3), [0] * 10, 9))     # fig6, the zero class
+@example(((1, 1), [10 ** 30, -10 ** 30], -5))
+def test_rank_kernel_matches_reduced_tuple(case):
+    # the fused kernel reads the rank off the shifted entries; the oracle
+    # builds the reduced tuple first
+    lengths, entries, degree = case
+    expected = _reduced_rank(lengths, _reduce_entries(lengths, entries), degree)
+    assert rank_entries(BananaSpec(lengths), entries, degree) == expected
+    profile = _entries_profile(lengths, entries)
+    assert profile == _reduced_profile(lengths, _reduce_entries(lengths, entries))
+    genus = len(lengths) - 1
+    degrees = range(degree - 3, degree + 2 * genus + 3)
+    assert _profile_ranks(genus, profile, degrees) == [
+        _reduced_rank(lengths, _reduce_entries(lengths, entries), x) for x in degrees]
+
+
+def test_no_zero_entry_self_check_raises_on_a_bad_shift(monkeypatch):
+    # one step past the least shift puts the quotient sum at or above the
+    # number of zero residues: both the reduction and the kernel must refuse
+    lengths, entries = (2, 3, 4), (1, 0, 0)
+    least = bn._least_shift(lengths, entries)
+    monkeypatch.setattr(bn, "_least_shift", lambda *_: least + 12)
+    with pytest.raises(AlgorithmError, match="no zero entry"):
+        _reduce_entries(lengths, entries)
+    with pytest.raises(AlgorithmError, match="no zero entry"):
+        _entries_profile(lengths, entries)
 
 
 def test_class_rank_at_huge_coefficient():
