@@ -119,18 +119,19 @@ def _line_ranks(g: Graph, raw, step, degree: int, ts: range, memo: dict) -> list
     coordinates (along the base vertex, or the left hub on bananas) keeps the
     line in one class."""
     eng = _engine(g)
+    if not any(step):
+        return eng.ranks(g, _profile(g, eng, raw, memo),
+                         range(degree + ts.start, degree + ts.stop))
+    return [eng.ranks(g, _profile(g, eng, [x + t * s for x, s in zip(raw, step)], memo),
+                      range(degree + t, degree + t + 1))[0] for t in ts]
 
-    def profile(x):
-        key = tuple(x)
-        prof = memo.get(key)
-        if prof is None:
-            prof = memo[key] = eng.profile(g, x)
-        return prof
 
-    if any(step):
-        return [eng.ranks(g, profile([x + t * s for x, s in zip(raw, step)]),
-                          range(degree + t, degree + t + 1))[0] for t in ts]
-    return eng.ranks(g, profile(raw), range(degree + ts.start, degree + ts.stop))
+def _profile(g: Graph, eng: _Engine, raw, memo: dict) -> tuple:
+    key = tuple(raw)
+    prof = memo.get(key)
+    if prof is None:
+        prof = memo[key] = eng.profile(g, raw)
+    return prof
 
 
 class SubmodularityVerdict(NamedTuple):
@@ -208,10 +209,10 @@ def _twist_columns(mg: MarkedGraph, raw, degree: int,
     du, dv = eng.raw(g, Divisor.at(mg.u)), eng.raw(g, Divisor.at(mg.v))
     step = [x - y for x, y in zip(du, dv)]
 
-    def origin(c: int) -> list[int]:
-        return [x + c * s for x, s in zip(raw, step)]
+    def origin(c: int) -> tuple:
+        return tuple([x + c * s for x, s in zip(raw, step)])
 
-    memo = {tuple(origin(c)): eng.key_profile(g, key) for c, key in enumerate(keys)}
+    memo = {origin(c): eng.key_profile(g, key) for c, key in enumerate(keys)}
     return lambda c, ts: _line_ranks(g, origin(c), du, degree, ts, memo)
 
 
