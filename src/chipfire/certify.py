@@ -27,9 +27,9 @@ from .errors import (AlgorithmError, DegenerateMarksError, NonSubmodularError,
                      WrongShapeError)
 from .graphs import Graph, MarkedGraph, _branch_walks, _bridges, jacobian_order
 from .perms import inv_k
-from .transmission import (_class_order, _class_reps, _engine, _line_ranks,
-                           _partition, _rep_divisor, all_submodular, delta,
-                           kgt_check, recurrence_witness, torsion_order,
+from .transmission import (_class_order, _class_reps, _engine, _partition,
+                           _rep_divisor, all_submodular, delta, kgt_check,
+                           recurrence_witness, torsion_order,
                            transmission_permutation)
 # weierstrass_partition is unused here but stays importable by this path,
 # where bench/tracer.py rebinds it
@@ -79,24 +79,23 @@ def divisor_census(g: Graph) -> list[CensusEntry]:
     the first class in ``_class_reps`` order to reach the maximum.
 
     Degrees outside the window are determined by Riemann-Roch (rank -1 below
-    zero, degree - genus above 2g-2) and are not listed.  Each class is one
-    line along the base vertex, so on a banana its ranks come from one
-    profile read off its key.
+    zero, degree - genus above 2g-2) and are not listed.  Adding the base
+    vertex leaves a class's coordinates alone, so its ranks at every degree
+    come from one profile read off its key.
     """
     genus = g.genus
     eng = _engine(g)
-    base = Divisor.at(g.base_vertex)
-    dbase = eng.raw(g, base)
     degrees = range(0, max(2 * genus - 1, 1))
-    best: dict[int, tuple[int, tuple]] = {}
+    best = [-2] * len(degrees)      # below every rank, so the first class sets all
+    witnesses: list[tuple] = [()] * len(degrees)
     for rep in _class_reps(g):
-        memo = {rep: eng.key_profile(g, rep)}
-        for degree, r in zip(degrees, _line_ranks(g, rep, dbase, 0, degrees, memo)):
-            if degree not in best or r > best[degree][0]:
-                best[degree] = (r, rep)
+        ranks = eng.ranks(g, eng.key_profile(g, rep), degrees)
+        for i in [i for i, r in enumerate(ranks) if r > best[i]]:
+            best[i], witnesses[i] = ranks[i], rep
+    base = Divisor.at(g.base_vertex)
     return [CensusEntry(degree, r, rho(genus, r, degree),
                         _rep_divisor(g, rep) + degree * base)
-            for degree, (r, rep) in sorted(best.items())]
+            for degree, r, rep in zip(degrees, best, witnesses)]
 
 
 def bn_general_unmarked(g: Graph) -> Certificate:

@@ -6,10 +6,25 @@ partitions.
 Nearly everything here walks the degree-0 class group, and ``_engine`` picks
 its encoding once per graph: reduced strand tuples with the closed-form rank
 on graphs built as bananas, base-reduced vertex vectors with burning and rank
-descent otherwise.  Either way the walks see the same six operations (linear
-coordinates, canonical key, rank, class order, one key per class, divisor of
-a key), and the two encodings are pinned to each other by the oracle tests.
-Class orders, torsion included, are closed forms in either lattice, not walks.
+descent otherwise.  Either way the walks see the same eight operations
+(linear coordinates in which the base vertex is zero, canonical key, rank
+profile of coordinates and of a key, ranks of a profile at a range of
+degrees, class order, one key per class, divisor of a key), and the two
+encodings are pinned to each other by the oracle tests.  Class orders,
+torsion included, are closed forms in either lattice, not walks.
+
+Rank is split in two because the sweeps ask for many degrees of few
+classes.  A profile is what rank needs of a class besides the degree: on
+bananas the strand and right-hub chip counts of its reduced divisor, read off
+the shifted tuple without building it; on other graphs the degree-0
+coordinates themselves, which rank reduces and runs the cached descent on.
+Every sweep (the twist grid behind ``delta``, ``transmission_permutation``
+and ``kgt_check``, ``all_submodular``, the census and the Weierstrass
+partitions) ranks lines D + t*w of class coordinates through
+``_line_ranks``, which profiles each class once per call by a memo keyed on
+the coordinates.  Along the base vertex, and on bananas along the left hub,
+a line stays in one class, so one profile gives a whole line.  Only a
+reported witness or extremal divisor is built as a ``Divisor``.
 """
 
 from __future__ import annotations
@@ -336,20 +351,19 @@ def all_submodular(mg: MarkedGraph) -> SubmodularityVerdict:
     """Second difference >= 0 for one representative of every class of every
     degree that can matter (0..2g).
 
-    Per class the four lines D, D-u, D-v and D-u-v run along the base vertex
-    through the degrees, so on a banana each is one class.
+    Adding the base vertex leaves the coordinates alone, so D, D-u, D-v and
+    D-u-v each stay one class through the degrees: four profiles per class.
     """
     g = mg.graph
     eng = _engine(g)
-    du, dv, dbase = (eng.raw(g, Divisor.at(x)) for x in (mg.u, mg.v, g.base_vertex))
-    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
-    degrees = range(0, 2 * g.genus + 1)
+    du, dv = eng.raw(g, Divisor.at(mg.u)), eng.raw(g, Divisor.at(mg.v))
+    span = 2 * g.genus + 1
     for rep in _class_reps(g):
-        memo: dict = {}
-        r, r_u, r_v, r_uv = (
-            _line_ranks(g, [x - i * y - j * z for x, y, z in zip(rep, du, dv)],
-                        dbase, -i - j, degrees, memo) for i, j in corners)
-        for degree in degrees:
+        r = eng.ranks(g, eng.key_profile(g, rep), range(span))
+        r_u, r_v, r_uv = (
+            eng.ranks(g, eng.profile(g, [x - i * y - j * z for x, y, z in zip(rep, du, dv)]),
+                      range(-i - j, span - i - j)) for i, j in ((1, 0), (0, 1), (1, 1)))
+        for degree in range(span):
             val = r[degree] - r_u[degree] - r_v[degree] + r_uv[degree]
             if val < 0:
                 d = _rep_divisor(g, rep) + degree * Divisor.at(g.base_vertex)
