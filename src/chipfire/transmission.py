@@ -18,13 +18,14 @@ classes.  A profile is what rank needs of a class besides the degree: on
 bananas the strand and right-hub chip counts of its reduced divisor, read off
 the shifted tuple without building it; on other graphs the degree-0
 coordinates themselves, which rank reduces and runs the cached descent on.
-Every sweep (the twist grid behind ``delta``, ``transmission_permutation``
-and ``kgt_check``, ``all_submodular``, the census and the Weierstrass
-partitions) ranks lines D + t*w of class coordinates through
-``_line_ranks``, which profiles each class once per call by a memo keyed on
-the coordinates.  Along the base vertex, and on bananas along the left hub,
-a line stays in one class, so one profile gives a whole line.  Only a
-reported witness or extremal divisor is built as a ``Divisor``.
+Every sweep ranks lines D + t*w of class coordinates.  The base vertex has
+zero coordinates (on bananas it is the left hub L), so a line along it stays
+in one class and one profile gives all its ranks: that is how the census
+and ``all_submodular`` see the degrees of a class.  The twist grid behind
+``delta``, ``transmission_permutation`` and ``kgt_check``, and the
+Weierstrass partitions, go through ``_line_ranks``, which profiles each
+class once per call by a memo keyed on the coordinates.  Only a reported
+witness or extremal divisor is built as a ``Divisor``.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def _class_rank(g: Graph, d: Divisor) -> int:
 def _line_ranks(g: Graph, raw, step, degree: int, ts: range, memo: dict) -> list[int]:
     """[r(raw + t*step) at degree + t for t in ts], each class profiled once
     per memo, which maps raw coordinate tuples to profiles.  A step with zero
-    coordinates (along the base vertex, or the left hub on bananas) keeps the
-    line in one class."""
+    coordinates (the base vertex) keeps the line in one class."""
     eng = _engine(g)
     if not any(step):
         return eng.ranks(g, _profile(g, eng, raw, memo),
