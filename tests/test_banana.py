@@ -166,6 +166,7 @@ def test_rank_kernel_matches_reduced_tuple(case):
     profile = _entries_profile(lengths, entries)
     assert profile == _reduced_profile(lengths, _reduce_entries(lengths, entries))
     genus = len(lengths) - 1
+    assert _profile_ranks(genus, profile, range(degree, degree + 1)) == [expected]
     degrees = range(degree - 3, degree + 2 * genus + 3)
     assert _profile_ranks(genus, profile, degrees) == [
         _reduced_rank(lengths, _reduce_entries(lengths, entries), x) for x in degrees]
