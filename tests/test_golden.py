@@ -2,7 +2,8 @@
 
 Each case runs ``chipfire <command> <input> --json`` in process and compares
 its exit code, stdout and stderr byte for byte with the recording under
-``tests/golden/``.  ``verify-witness`` cases check the recorded output of the
+``tests/golden/``; the ``bn-marked`` and ``kgt-exhaustive`` labels add
+``--marked`` and ``--exhaustive``.  ``verify-witness`` cases check the recorded output of the
 command named after the ``@`` in the case name.  To re-record after an
 intended change of output:
 
