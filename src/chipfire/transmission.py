@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import banana as _bn
 # _reduce_vec is unused here but stays importable by this path, where
@@ -209,7 +209,7 @@ class KgtCertificate:
 
 
 def _twist_columns(mg: MarkedGraph, raw, degree: int,
-                   keys: tuple = ()) -> Callable[[int, range], list[int]]:
+                   keys: Sequence[tuple] = ()) -> Callable[[int, range], list[int]]:
     """(c, ts) -> [r(D + (c + t)*u - c*v) for t in ts] for the divisor D with
     coordinates raw and the given degree.
 
