@@ -147,33 +147,11 @@ def _entries_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
     return strand, full
 
 
-def _reduced_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
-    """(strand chips, right-hub chips) read off a reduced tuple: its entries
-    strictly inside their strands and its full entries."""
-    strand = full = 0
-    for a, n in zip(entries, lengths):
-        if a == n:
-            full += 1
-        elif a:
-            strand += 1
-    return strand, full
-
-
 def _profile_ranks(genus: int, profile: tuple[int, int], degrees: range) -> list[int]:
     """Ranks at a range of degrees of a class with the given (strand,
-    right-hub) profile: ``banana_rank`` with the rest of each degree on the
-    left hub, the shape valid by construction.  In the left-hub chips a the
-    rank is -1 below zero, a up to full, full up to genus - strand and then
-    rises by one per chip again; the list is built piece by piece."""
+    right-hub) profile, the rest of each degree on the left hub."""
     strand, full = profile
-    free = genus - strand
-    lo, hi = degrees.start - strand - full, degrees.stop - strand - full
-    if hi - lo == 1:  # one degree, the common query off the base direction
-        return [-1 if lo < 0 else min(lo, full) + max(0, lo - free)]
-    return ([-1] * len(range(lo, min(hi, 0)))
-            + list(range(max(lo, 0), min(hi, full + 1)))
-            + [full] * len(range(max(lo, full + 1), min(hi, free + 1)))
-            + list(range(max(lo, free + 1) + full - free, hi + full - free)))
+    return [banana_rank(d - strand - full, full, strand, genus) for d in degrees]
 
 
 def _entries_order(lengths: tuple[int, ...], entries) -> int:
@@ -243,8 +221,9 @@ def _reduced_rank(lengths: tuple[int, ...], entries, degree: int) -> int:
     """Rank at a degree of the class with reduced tuple entries: its
     base-reduced divisor has one chip on the right hub per full entry, one
     strand chip per other nonzero entry and the rest on the left hub."""
-    strand, full = _reduced_profile(lengths, entries)
-    return banana_rank(degree - strand - full, full, strand, len(lengths) - 1)
+    nonzero = sum(1 for a in entries if a)
+    full = sum(1 for a, n in zip(entries, lengths) if a == n)
+    return banana_rank(degree - nonzero, full, nonzero - full, len(lengths) - 1)
 
 
 def rank_of_tuple(t: BananaTuple, degree: int) -> int:
@@ -262,10 +241,8 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
 
 
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
-    """Rank of the class with unreduced entry vector raw_entries at a degree,
-    from its profile: no reduced tuple is built."""
-    strand, full = _entries_profile(spec.lengths, raw_entries)
-    return banana_rank(degree - strand - full, full, strand, spec.genus)
+    """Rank of the class with unreduced entry vector raw_entries at a degree."""
+    return _reduced_rank(spec.lengths, _reduce_entries(spec.lengths, raw_entries), degree)
 
 
 def predicted_tau(case: str, lengths, b: int) -> int | None:
