@@ -147,11 +147,31 @@ def _entries_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
     return strand, full
 
 
+def _reduced_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
+    """(strand chips, right-hub chips) read off a reduced tuple: its entries
+    strictly inside their strands and its full entries."""
+    strand = full = 0
+    for a, n in zip(entries, lengths):
+        if a == n:
+            full += 1
+        elif a:
+            strand += 1
+    return strand, full
+
+
 def _profile_ranks(genus: int, profile: tuple[int, int], degrees: range) -> list[int]:
     """Ranks at a range of degrees of a class with the given (strand,
-    right-hub) profile, the rest of each degree on the left hub."""
+    right-hub) profile, the rest of each degree on the left hub.  With a
+    left-hub chips the rank is -1 for a < 0, else one per left-hub chip up to
+    the right-hub count plus one per chip beyond genus - strand."""
     strand, full = profile
-    return [banana_rank(d - strand - full, full, strand, genus) for d in degrees]
+    free = genus - strand
+    if strand < 0 or not 0 <= full <= free:
+        raise InvalidGraphError(
+            f"not a reduced banana shape: b={full} e={strand} g={genus}")
+    n = strand + full
+    return [-1 if a < 0 else min(a, full) + max(0, a - free)
+            for a in range(degrees.start - n, degrees.stop - n)]
 
 
 def _entries_order(lengths: tuple[int, ...], entries) -> int:
@@ -209,21 +229,15 @@ def tuple_to_reduced_divisor(t: BananaTuple, degree: int) -> BananaReducedDiviso
 
 def banana_rank(a: int, b: int, e: int, g: int) -> int:
     """Rank of a base-reduced banana divisor with a/b hub chips and e strand chips."""
-    if b < 0 or e < 0 or b > g - e:
-        raise InvalidGraphError(
-            f"not a reduced banana shape: a={a} b={b} e={e} g={g}")
-    if a < 0:
-        return -1
-    return min(a, b) + max(0, max(a, b) - (g - e))
+    return _profile_ranks(g, (e, b), range(a + b + e, a + b + e + 1))[0]
 
 
 def _reduced_rank(lengths: tuple[int, ...], entries, degree: int) -> int:
     """Rank at a degree of the class with reduced tuple entries: its
     base-reduced divisor has one chip on the right hub per full entry, one
     strand chip per other nonzero entry and the rest on the left hub."""
-    nonzero = sum(1 for a in entries if a)
-    full = sum(1 for a, n in zip(entries, lengths) if a == n)
-    return banana_rank(degree - nonzero, full, nonzero - full, len(lengths) - 1)
+    strand, full = _reduced_profile(lengths, entries)
+    return banana_rank(degree - strand - full, full, strand, len(lengths) - 1)
 
 
 def rank_of_tuple(t: BananaTuple, degree: int) -> int:

@@ -89,7 +89,7 @@ def divisor_census(g: Graph) -> list[CensusEntry]:
     best = [-2] * len(degrees)      # below every rank, so the first class sets all
     witnesses: list[tuple] = [()] * len(degrees)
     for rep in _class_reps(g):
-        ranks = eng.ranks(g, eng.profile(g, rep), degrees)
+        ranks = eng.ranks(g, eng.key_profile(g, rep), degrees)
         for i in [i for i, r in enumerate(ranks) if r > best[i]]:
             best[i], witnesses[i] = ranks[i], rep
     base = Divisor.at(g.base_vertex)
@@ -127,7 +127,7 @@ def bn_general_marked(g: Graph, v: str) -> Certificate:
     dv = eng.raw(g, Divisor.at(v))
     worst = 0
     for rep in _class_reps(g):
-        lam = _partition(g, rep, 0, dv, {rep: eng.profile(g, rep)})
+        lam = _partition(g, rep, 0, dv, {rep: eng.key_profile(g, rep)})
         if lam.size > genus:
             return Certificate(NOT_GENERAL, "partition-sweep", {
                 "genus": genus,

@@ -6,10 +6,10 @@ partitions.
 Nearly everything here walks the degree-0 class group, and ``_engine`` picks
 its encoding once per graph: reduced strand tuples with the closed-form rank
 on graphs built as bananas, base-reduced vertex vectors with burning and rank
-descent otherwise.  Either way the walks see the same seven operations
+descent otherwise.  Either way the walks see the same eight operations
 (linear coordinates in which the base vertex is zero, canonical key, rank
-profile of coordinates, ranks of a profile at a range of degrees, class
-order, one key per class, divisor of a key), and the two
+profile of coordinates and of a key, ranks of a profile at a range of
+degrees, class order, one key per class, divisor of a key), and the two
 encodings are pinned to each other by the oracle tests.  Class orders,
 torsion included, are closed forms in either lattice, not walks.
 
@@ -54,9 +54,9 @@ class _Engine(NamedTuple):
     raw(g, d) gives linear coordinates of a divisor in which the base vertex
     is zero, so they do not see the degree, and reduce(g, raw) the canonical
     key of a degree-0 class.  Rank is split in two: profile(g, raw) is what
-    the rank of the class of raw depends on besides the degree (a canonical
-    key is coordinates too), and ranks(g, profile, degrees) the ranks at a
-    range of degrees.  order(g, raw)
+    the rank of the class of raw depends on besides the degree,
+    key_profile(g, key) the same for a canonical key, and
+    ranks(g, profile, degrees) the ranks at a range of degrees.  order(g, raw)
     is the order of a degree-0 class in closed form, reps(g) one key per
     class and divisor(g, key) a divisor of the class.
     """
@@ -64,6 +64,7 @@ class _Engine(NamedTuple):
     raw: Callable[[Graph, Divisor], list[int]]
     reduce: Callable[[Graph, list[int]], tuple]
     profile: Callable[[Graph, list[int]], tuple]
+    key_profile: Callable[[Graph, tuple], tuple]
     ranks: Callable[[Graph, tuple, range], list[int]]
     order: Callable[[Graph, list[int]], int]
     reps: Callable[[Graph], Iterator[tuple]]
@@ -71,11 +72,13 @@ class _Engine(NamedTuple):
 
 
 # The profile is (strand chips, right-hub chips) of the base-reduced divisor,
-# read off the shifted entries, and rank at a degree is arithmetic on it.
+# read off the shifted entries or off the reduced tuple, and rank at a degree
+# is arithmetic on it.
 _TUPLES = _Engine(
     lambda g, d: _bn._raw_entries(g.banana, d),
     lambda g, raw: _bn._reduce_entries(g.banana.lengths, raw),
     lambda g, raw: _bn._entries_profile(g.banana.lengths, raw),
+    lambda g, key: _bn._reduced_profile(g.banana.lengths, key),
     lambda g, profile, degrees: _bn._profile_ranks(g.banana.genus, profile, degrees),
     lambda g, raw: _bn._entries_order(g.banana.lengths, raw),
     lambda g: _bn._reduced_tuples(g.banana.lengths),
@@ -109,6 +112,7 @@ _VECTORS = _Engine(
     _vector_raw,
     lambda g, raw: _reduced_key(g, raw, 0),
     lambda g, raw: tuple(raw),
+    lambda g, key: key,
     _vector_ranks,
     _vector_order,
     lambda g: (tuple(_vec(g, d)) for d in enumerate_jacobian(g)),
@@ -223,7 +227,7 @@ def _twist_columns(mg: MarkedGraph, raw, degree: int,
     def origin(c: int) -> tuple:
         return tuple([x + c * s for x, s in zip(raw, step)])
 
-    memo = {origin(c): eng.profile(g, key) for c, key in enumerate(keys)}
+    memo = {origin(c): eng.key_profile(g, key) for c, key in enumerate(keys)}
     return lambda c, ts: _line_ranks(g, origin(c), du, degree, ts, memo)
 
 
@@ -355,7 +359,7 @@ def all_submodular(mg: MarkedGraph) -> SubmodularityVerdict:
     du, dv = eng.raw(g, Divisor.at(mg.u)), eng.raw(g, Divisor.at(mg.v))
     span = 2 * g.genus + 1
     for rep in _class_reps(g):
-        r = eng.ranks(g, eng.profile(g, rep), range(span))
+        r = eng.ranks(g, eng.key_profile(g, rep), range(span))
         r_u, r_v, r_uv = (
             eng.ranks(g, eng.profile(g, [x - i * y - j * z for x, y, z in zip(rep, du, dv)]),
                       range(-i - j, span - i - j)) for i, j in ((1, 0), (0, 1), (1, 1)))

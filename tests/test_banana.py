@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import chipfire.banana as bn
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
                              BananaTuple, _entries_profile, _profile_ranks,
-                             _reduce_entries, _reduced_rank,
+                             _reduce_entries, _reduced_profile, _reduced_rank,
                              banana_rank, divisor_to_tuple,
                              inversion_lower_bound, predicted_tau,
                              reduce_tuple, tuple_to_reduced_divisor)
@@ -162,8 +162,7 @@ def test_rank_kernel_matches_reduced_tuple(case):
     lengths, entries, degree = case
     reduced = _reduce_entries(lengths, entries)
     profile = _entries_profile(lengths, entries)
-    # a reduced key is coordinates of its own class: the sweeps profile keys
-    assert profile == _entries_profile(lengths, reduced)
+    assert profile == _reduced_profile(lengths, reduced)
     genus = len(lengths) - 1
     degrees = range(degree - 3, degree + 2 * genus + 3)
     assert _profile_ranks(genus, profile, degrees) == [
