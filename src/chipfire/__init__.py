@@ -6,9 +6,8 @@ certificates, and Brill-Noether generality certification, all in exact integer
 arithmetic.
 """
 
-from .banana import (BananaReducedDivisor, BananaTuple, banana_rank,
-                     divisor_to_tuple, inversion_lower_bound, predicted_tau,
-                     reduce_tuple, tuple_to_reduced_divisor)
+from .banana import (BananaTuple, banana_rank, divisor_to_tuple,
+                     inversion_lower_bound, predicted_tau, reduce_tuple)
 from .certify import (CensusEntry, Certificate, ChainSpec, banana_strands,
                       bn_general_marked, bn_general_unmarked, chain_certify,
                       classify_banana, classify_genus2, divisor_census, rho,

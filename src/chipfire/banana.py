@@ -3,9 +3,9 @@
 Degree-0 classes on a banana correspond to integer (g+1)-tuples modulo the
 relations (1,...,1) and n0*e0 - na*ea; each class has a unique reduced tuple
 (entries in range, at least one zero, full entries left of zeros).  Reduced
-tuples translate directly into base-reduced divisors, which makes rank a
-three-integer formula.  The tau fragments and inversion lower bounds for the
-three special hub-adjacent markings live here too.
+tuples translate directly into base-reduced divisors (``_key_divisor``),
+which makes rank a three-integer formula.  The tau fragments and inversion
+lower bounds for the three special hub-adjacent markings live here too.
 
 The reduced tuple is found in closed form.  Every na*ea is the same class t,
 so a tuple a splits as r + Q*t with r = a mod n and Q = sum(a // n).  Adding
@@ -66,30 +66,6 @@ class BananaTuple:
         zeros = [i for i, a in enumerate(e) if a == 0]
         fulls = [i for i, a in enumerate(e) if a == lengths[i]]
         return not fulls or not zeros or max(fulls) < min(zeros)
-
-
-@dataclass(frozen=True)
-class BananaReducedDivisor:
-    """Base-reduced shape on a banana: chips at the two hubs plus at most one
-    interior chip per strand."""
-
-    left: int
-    right: int
-    interior: tuple[tuple[int, int], ...]  # (strand, position), position interior
-
-    @property
-    def excess(self) -> int:
-        return len(self.interior)
-
-    def to_divisor(self, spec: BananaSpec) -> Divisor:
-        chips: dict[str, int] = {}
-        if self.left:
-            chips[spec.left] = self.left
-        if self.right:
-            chips[spec.right] = chips.get(spec.right, 0) + self.right
-        for alpha, i in self.interior:
-            chips[spec.vertex_id(alpha, i)] = chips.get(spec.vertex_id(alpha, i), 0) + 1
-        return Divisor(chips)
 
 
 @lru_cache(maxsize=64)
@@ -189,18 +165,20 @@ def reduce_tuple(t: BananaTuple) -> BananaTuple:
     return BananaTuple(t.spec, _reduce_entries(t.spec.lengths, t.entries), t.degree_offset)
 
 
-def _reduced_tuples(lengths: tuple[int, ...], i: int = 0,
-                    prefix: tuple = ()) -> Iterator[tuple]:
-    """Reduced banana tuples extending a zero-free prefix, in lexicographic
-    order: a full entry may only precede the first zero, so once slot i is 0
-    the later slots run below full, and the last slot must be 0 if no zero
-    came before it."""
-    head = prefix + (0,)
-    for tail in product(*[range(n) for n in lengths[i + 1:]]):
-        yield head + tail
-    if i + 1 < len(lengths):
-        for a in range(1, lengths[i] + 1):
-            yield from _reduced_tuples(lengths, i + 1, prefix + (a,))
+def _reduced_tuples(lengths: tuple[int, ...]) -> Iterator[tuple]:
+    """Reduced banana tuples in lexicographic order.  A full entry may only
+    precede the first zero, so each zero-free prefix is followed by a 0 and
+    then any entries below full; the prefixes are walked depth first, and
+    the last slot must be 0 if no zero came before it."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        i = len(prefix)
+        head = prefix + (0,)
+        for tail in product(*map(range, lengths[i + 1:])):
+            yield head + tail
+        if i + 1 < len(lengths):
+            stack.extend(prefix + (a,) for a in range(lengths[i], 0, -1))
 
 
 def divisor_to_tuple(spec: BananaSpec, d: Divisor) -> BananaTuple:
@@ -208,23 +186,12 @@ def divisor_to_tuple(spec: BananaSpec, d: Divisor) -> BananaTuple:
     return BananaTuple(spec, _reduce_entries(spec.lengths, _raw_entries(spec, d)), d.degree)
 
 
-def tuple_to_reduced_divisor(t: BananaTuple, degree: int) -> BananaReducedDivisor:
-    """Base-reduced divisor of t's class at the requested degree."""
-    if not t.is_reduced():
-        raise WrongShapeError("tuple must be reduced first")
-    lengths = t.spec.lengths
-    right = 0
-    interior = []
-    nonzero = 0
-    for alpha, a in enumerate(t.entries):
-        if a == 0:
-            continue
-        nonzero += 1
-        if a == lengths[alpha]:
-            right += 1
-        else:
-            interior.append((alpha, a))
-    return BananaReducedDivisor(degree - nonzero, right, tuple(interior))
+def _key_divisor(spec: BananaSpec, key) -> Divisor:
+    """Degree-0 base-reduced divisor of the class with reduced tuple key: one
+    right-hub chip per full entry, one chip at offset a of its strand per
+    other nonzero entry, and minus their count on the left hub."""
+    chips = [(spec.vertex_id(alpha, a), 1) for alpha, a in enumerate(key) if a]
+    return Divisor([(spec.left, -len(chips))] + chips)
 
 
 def banana_rank(a: int, b: int, e: int, g: int) -> int:

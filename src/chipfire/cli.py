@@ -425,8 +425,9 @@ def run_command(argv) -> int:
     except ChipfireError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (RecursionError, MemoryError, OverflowError) as err:
-        # resource exhaustion is an error, never a failure with a witness
+    except Exception as err:
+        # any other exception (resource exhaustion included) is an error,
+        # never a failure with a witness
         detail = f": {err}" if str(err) else ""
         print(f"error: {type(err).__name__}{detail}", file=sys.stderr)
         return EXIT_ERROR

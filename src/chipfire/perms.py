@@ -104,13 +104,12 @@ def inv_k(p: EafPerm) -> int:
     Each class has a unique representative with 0 <= b < k; the scan over
     smaller arguments is finite because displacement is bounded.
     """
-    k = p.modulus
-    _, max_disp = p.displacement()
+    k, window = p.modulus, p.window
+    max_disp = max(w - i for i, w in enumerate(window))
     total = 0
-    for b in range(k):
-        tb = p(b)
-        lo = tb + 1 - max_disp
-        total += sum(1 for n in range(lo, b) if p(n) > tb)
+    for b, tb in enumerate(window):
+        total += sum(1 for n in range(tb + 1 - max_disp, b)
+                     if window[n % k] + k * (n // k) > tb)
     return total
 
 

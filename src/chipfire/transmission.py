@@ -82,8 +82,7 @@ _TUPLES = _Engine(
     lambda g, profile, degrees: _bn._profile_ranks(g.banana.genus, profile, degrees),
     lambda g, raw: _bn._entries_order(g.banana.lengths, raw),
     lambda g: _bn._reduced_tuples(g.banana.lengths),
-    lambda g, key: _bn.tuple_to_reduced_divisor(
-        _bn.BananaTuple(g.banana, key), 0).to_divisor(g.banana))
+    lambda g, key: _bn._key_divisor(g.banana, key))
 
 
 def _vector_raw(g: Graph, d: Divisor) -> list[int]:
@@ -437,16 +436,18 @@ def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
 
 def recurrence_witness(g: Graph, d0: Divisor):
     """First vertex seeing two effective divisors among n*D + v, 0 < n < order,
-    as (vertex, n1, n2); None when the class is non-recurrent."""
+    as (vertex, n1, n2); None when the class is non-recurrent.  Each n*D + v
+    is ranked at degree 1 from its coordinates n*raw(D) + raw(v)."""
     if d0.degree != 0:
         raise InvalidGraphError("non-recurrence is defined for degree-0 divisors")
-    order = _class_order(g, d0)
+    eng = _engine(g)
+    raw = eng.raw(g, d0)
+    at = [(v, eng.raw(g, Divisor.at(v))) for v in g.vertices]
     hits: dict[str, int] = {}
-    cur = Divisor()
-    for n in range(1, order):
-        cur = cur + d0
-        for v in g.vertices:
-            if _class_rank(g, cur + Divisor.at(v)) >= 0:
+    for n in range(1, eng.order(g, raw)):
+        for v, dv in at:
+            prof = eng.profile(g, [n * x + y for x, y in zip(raw, dv)])
+            if eng.ranks(g, prof, range(1, 2))[0] >= 0:
                 if v in hits:
                     return v, hits[v], n
                 hits[v] = n

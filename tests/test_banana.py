@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 import chipfire.banana as bn
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
-                             BananaTuple, _entries_profile, _profile_ranks,
-                             _reduce_entries, _reduced_profile, _reduced_rank,
-                             banana_rank, divisor_to_tuple,
-                             inversion_lower_bound, predicted_tau,
-                             reduce_tuple, tuple_to_reduced_divisor)
-from chipfire.divisors import Divisor, class_key, linear_equivalent, rank
+                             BananaTuple, _entries_profile, _key_divisor,
+                             _profile_ranks, _reduce_entries, _reduced_profile,
+                             _reduced_rank, _reduced_tuples, banana_rank,
+                             divisor_to_tuple, inversion_lower_bound,
+                             predicted_tau, rank_of_tuple, reduce_tuple)
+from chipfire.divisors import (Divisor, class_key, dhar_reduce,
+                               linear_equivalent, rank)
 from chipfire.errors import AlgorithmError, InvalidGraphError, WrongShapeError
 from chipfire.graphs import BananaSpec, MarkedGraph, build_banana
 from chipfire.perms import inv_k
@@ -22,7 +23,39 @@ from conftest import random_divisor
 
 
 def _tuple_class_divisor(g, t, degree):
-    return tuple_to_reduced_divisor(t, degree).to_divisor(g.banana)
+    return _key_divisor(g.banana, t.entries) + degree * Divisor.at(g.banana.left)
+
+
+def _shape_divisor(spec, entries, degree):
+    """Test oracle: the hub-and-interior shape object that _key_divisor
+    replaced, built from a reduced tuple and turned into a divisor."""
+    left, right, interior = degree, 0, []
+    for alpha, a in enumerate(entries):
+        if a:
+            left -= 1
+            if a == spec.lengths[alpha]:
+                right += 1
+            else:
+                interior.append((alpha, a))
+    chips = {}
+    if left:
+        chips[spec.left] = left
+    if right:
+        chips[spec.right] = chips.get(spec.right, 0) + right
+    for alpha, i in interior:
+        chips[spec.vertex_id(alpha, i)] = chips.get(spec.vertex_id(alpha, i), 0) + 1
+    return Divisor(chips)
+
+
+def test_key_divisor_matches_shape_oracle_and_is_reduced():
+    for lengths in [(1, 1), (2, 1), (1, 3, 1), (2, 2, 2), (3, 4, 5), (2, 3, 2, 2)]:
+        g = build_banana(list(lengths))
+        spec = g.banana
+        for key in _reduced_tuples(lengths):
+            d = _key_divisor(spec, key)
+            assert d == _shape_divisor(spec, key, 0), (lengths, key)
+            assert d.degree == 0
+            assert dhar_reduce(g, d, "L").divisor == d
 
 
 def test_reduce_tuple_identity_cases():
@@ -215,21 +248,22 @@ def test_divisor_to_tuple_zero_and_canonical(rng):
     assert class_key(g, k) == class_key(g, rebuilt)
 
 
-def test_tuple_to_reduced_divisor_shapes():
+def test_key_divisor_shapes():
     spec = build_banana([3, 4, 5]).banana
-    g = spec.genus
-    zero = BananaTuple(spec, (0, 0, 0))
-    red = tuple_to_reduced_divisor(zero, g)
-    assert (red.left, red.right, red.interior) == (g, 0, ())
-    full = reduce_tuple(BananaTuple(spec, (3, 0, 0)))
-    red = tuple_to_reduced_divisor(full, 1)
-    assert (red.left, red.right) == (0, 1)
+    assert _key_divisor(spec, (0, 0, 0)) == Divisor()
+    assert _reduced_profile(spec.lengths, (0, 0, 0)) == (0, 0)
+    full = reduce_tuple(BananaTuple(spec, (3, 0, 0))).entries
+    assert _key_divisor(spec, full) == Divisor({"s0.3": 1, "s0.0": -1})
+    assert _reduced_profile(spec.lengths, full) == (0, 1)
+    mixed = (3, 2, 0)
+    assert _key_divisor(spec, mixed) == Divisor({"s0.3": 1, "s1.2": 1, "s0.0": -2})
+    assert _reduced_profile(spec.lengths, mixed) == (1, 1)
 
 
-def test_tuple_to_reduced_divisor_requires_reduced():
+def test_rank_of_tuple_requires_reduced():
     spec = build_banana([2, 2]).banana
     with pytest.raises(WrongShapeError):
-        tuple_to_reduced_divisor(BananaTuple(spec, (5, 0)), 0)
+        rank_of_tuple(BananaTuple(spec, (5, 0)), 0)
 
 
 def test_banana_rank_values():
@@ -254,9 +288,9 @@ def test_banana_rank_matches_descent_small(rng):
         spec = g.banana
         for _ in range(25):
             d = random_divisor(rng, g, lo=-2, hi=3)
-            t = divisor_to_tuple(spec, d)
-            red = tuple_to_reduced_divisor(t, d.degree)
-            assert banana_rank(red.left, red.right, red.excess, spec.genus) == rank(g, d)
+            strand, full = _reduced_profile(spec.lengths, divisor_to_tuple(spec, d).entries)
+            left = d.degree - strand - full
+            assert banana_rank(left, full, strand, spec.genus) == rank(g, d)
 
 
 FIG6 = [5, 4, 4, 3, 3, 3, 3, 3, 3, 3]

@@ -390,17 +390,36 @@ def test_cli_threads_flag_rejected(files, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [RecursionError, MemoryError, OverflowError])
+@pytest.mark.parametrize("error", [RecursionError, MemoryError, OverflowError,
+                                   ValueError, KeyError, ZeroDivisionError])
 def test_cli_resource_errors_exit_2(files, monkeypatch, capsys, error):
-    # running out of stack, memory or float range is an error, not a
-    # failure with a witness
+    # running out of stack, memory or float range, or any other uncaught
+    # exception, is an error, not a failure with a witness
     def boom(args, doc, out):
         raise error("simulated")
     monkeypatch.setitem(_COMMANDS, "torsion", boom)
     assert run_command(["torsion", files["theta414.graph"]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {error.__name__}: simulated\n"
+    # str() of a KeyError quotes its key
+    assert captured.err == f"error: {error.__name__}: {error('simulated')}\n"
+
+
+@pytest.mark.parametrize("command,code,verdict", [
+    ("census", 0, None), ("bn", 1, "NOT_GENERAL"), ("classify", 1, "SUBMODULAR_NOT_KGT")])
+def test_cli_sweeps_on_twelve_hundred_strands(tmp_path, capsys, command, code, verdict):
+    # genus 1,199 and 1,200 classes: enumerating the reduced tuples must not
+    # recurse once per strand (that ended in exit 2 with a RecursionError)
+    spec = tmp_path / "wide.graph"
+    spec.write_text("banana " + " ".join(["1"] * 1200) + "\nmark u L\nmark v R\n")
+    assert run_command([command, str(spec), "--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    if verdict is None:
+        assert len(result["entries"]) == 2 * 1199 - 1
+    else:
+        assert result["verdict"] == verdict
 
 
 # ---------------------------------------------------------------------------

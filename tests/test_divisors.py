@@ -171,14 +171,13 @@ def test_banana_tuple_divisors_are_reduced():
 
 def test_reduced_tuple_divisors_are_fixed_points():
     # coset representatives translate to base-reduced divisors verbatim
-    from chipfire.banana import BananaTuple, tuple_to_reduced_divisor
+    from chipfire.banana import BananaTuple, _key_divisor
     g = build_banana([2, 3, 2])
     spec = g.banana
     for cand in itertools.product(range(3), range(4), range(3)):
-        t = BananaTuple(spec, cand)
-        if not t.is_reduced():
+        if not BananaTuple(spec, cand).is_reduced():
             continue
-        d = tuple_to_reduced_divisor(t, 0).to_divisor(spec)
+        d = _key_divisor(spec, cand)
         assert dhar_reduce(g, d, "L").divisor == d
 
 

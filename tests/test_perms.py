@@ -75,6 +75,26 @@ def test_inv_matches_naive(rng):
         assert inv_k(p) == len(naive_inversion_classes(p))
 
 
+def _call_scan_inv_k(p: EafPerm) -> int:
+    """Test oracle: inv_k as it was written before it read the window
+    directly, one EafPerm.__call__ per scanned pair."""
+    _, max_disp = p.displacement()
+    total = 0
+    for b in range(p.modulus):
+        tb = p(b)
+        total += sum(1 for n in range(tb + 1 - max_disp, b) if p(n) > tb)
+    return total
+
+
+def test_inv_matches_call_scan_with_shifts(rng):
+    # random residue orders, each value moved by a random multiple of k
+    for k in range(1, 13):
+        for _ in range(40):
+            window = tuple(r + k * rng.randint(-3, 3) for r in rng.sample(range(k), k))
+            p = EafPerm(k, window)
+            assert inv_k(p) == _call_scan_inv_k(p), p
+
+
 def test_sci_examples():
     assert sci(EafPerm.identity(5)) == 0
     assert sci(EafPerm.simple(50, 0)) == 1   # only the pair (0, 1)

@@ -283,7 +283,8 @@ def test_class_reps_generate_reduced_tuples_in_product_order():
     from itertools import product
     from chipfire.banana import BananaTuple
     for lengths in [(1, 1), (1, 1, 1, 1), (2, 1), (1, 3, 1), (2, 2, 2),
-                    (3, 4, 5), (2, 3, 2, 2), (4, 1, 2, 3)]:
+                    (3, 4, 5), (2, 3, 2, 2), (4, 1, 2, 3), (1,) * 12,
+                    (2, 1, 1, 1, 1, 1, 1, 1, 1)]:
         g = build_banana(list(lengths))
         filtered = [cand for cand in product(*[range(n + 1) for n in lengths])
                     if BananaTuple(g.banana, cand).is_reduced()]
@@ -405,6 +406,34 @@ def test_non_recurrent_examples():
     w, n1, n2 = recurrence_witness(g, d0)
     assert rank(g, n1 * d0 + Divisor.at(w)) >= 0
     assert rank(g, n2 * d0 + Divisor.at(w)) >= 0
+
+
+def _divisor_walk_recurrence_witness(g, d0):
+    """Test oracle: recurrence_witness as a walk of Divisors, n*D + v built
+    and ranked at every step."""
+    hits = {}
+    cur = Divisor()
+    for n in range(1, tr._class_order(g, d0)):
+        cur = cur + d0
+        for v in g.vertices:
+            if _class_rank(g, cur + Divisor.at(v)) >= 0:
+                if v in hits:
+                    return v, hits[v], n
+                hits[v] = n
+    return None
+
+
+def test_recurrence_witness_matches_divisor_walk():
+    graphs = [build_theta(*ls) for ls in [(1, 1, 1), (2, 1, 2), (3, 2, 2), (4, 1, 4)]]
+    graphs += [vertex_glue(build_cycle(*a), build_cycle(*b)).graph
+               for a, b in [((1, 1), (2, 1)), ((2, 1), (3, 1)), ((2, 2), (1, 3))]]
+    graphs += [Graph(g.vertices, g.edges) for g in graphs if g.banana is not None]
+    for g in graphs:
+        for u in g.vertices:
+            for v in g.vertices:
+                d0 = Divisor.at(u) - Divisor.at(v)
+                assert (recurrence_witness(g, d0)
+                        == _divisor_walk_recurrence_witness(g, d0)), (g.vertices, u, v)
 
 
 def test_non_recurrent_rejects_nonzero_degree():
