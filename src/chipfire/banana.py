@@ -95,17 +95,23 @@ def _least_shift(lengths: tuple[int, ...], entries) -> int:
     return hi
 
 
-def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
-    """Reduced tuple of the class of entries, at the least shift m."""
+def _least_residues(lengths: tuple[int, ...], entries) -> tuple[list[int], int]:
+    """The entries mod lengths at the least shift, and their quotient sum,
+    which must stay below the number of zero residues."""
     m = _least_shift(lengths, entries)
     shifted = [a + m for a in entries]
-    out = list(map(mod, shifted, lengths))
-    nfull = sum(map(floordiv, shifted, lengths))
-    zeros = [i for i, x in enumerate(out) if x == 0]
-    if nfull >= len(zeros):
+    residues = list(map(mod, shifted, lengths))
+    full = sum(map(floordiv, shifted, lengths))
+    if full >= residues.count(0):
         raise AlgorithmError("tuple reduction left no zero entry; this is a bug")
-    # left-justify: full values occupy the leftmost of the zero slots
-    for i in zeros[:nfull]:
+    return residues, full
+
+
+def _reduce_entries(lengths: tuple[int, ...], entries) -> tuple[int, ...]:
+    """Reduced tuple of the class of entries: the full values occupy the
+    leftmost of the zero residues."""
+    out, nfull = _least_residues(lengths, entries)
+    for i in [i for i, x in enumerate(out) if x == 0][:nfull]:
         out[i] = lengths[i]
     return tuple(out)
 
@@ -114,13 +120,8 @@ def _entries_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
     """(strand chips, right-hub chips) of the base-reduced divisor of the class
     of entries, read off the entries at the least shift without building the
     reduced tuple: the nonzero residues and the quotient sum."""
-    m = _least_shift(lengths, entries)
-    shifted = [a + m for a in entries]
-    strand = len(lengths) - list(map(mod, shifted, lengths)).count(0)
-    full = sum(map(floordiv, shifted, lengths))
-    if full >= len(lengths) - strand:
-        raise AlgorithmError("tuple reduction left no zero entry; this is a bug")
-    return strand, full
+    residues, full = _least_residues(lengths, entries)
+    return len(lengths) - residues.count(0), full
 
 
 def _reduced_profile(lengths: tuple[int, ...], entries) -> tuple[int, int]:
@@ -199,18 +200,11 @@ def banana_rank(a: int, b: int, e: int, g: int) -> int:
     return _profile_ranks(g, (e, b), range(a + b + e, a + b + e + 1))[0]
 
 
-def _reduced_rank(lengths: tuple[int, ...], entries, degree: int) -> int:
-    """Rank at a degree of the class with reduced tuple entries: its
-    base-reduced divisor has one chip on the right hub per full entry, one
-    strand chip per other nonzero entry and the rest on the left hub."""
-    strand, full = _reduced_profile(lengths, entries)
-    return banana_rank(degree - strand - full, full, strand, len(lengths) - 1)
-
-
 def rank_of_tuple(t: BananaTuple, degree: int) -> int:
     if not t.is_reduced():
         raise WrongShapeError("tuple must be reduced first")
-    return _reduced_rank(t.spec.lengths, t.entries, degree)
+    profile = _reduced_profile(t.spec.lengths, t.entries)
+    return _profile_ranks(t.spec.genus, profile, range(degree, degree + 1))[0]
 
 
 def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
@@ -223,7 +217,8 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
 
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
     """Rank of the class with unreduced entry vector raw_entries at a degree."""
-    return _reduced_rank(spec.lengths, _reduce_entries(spec.lengths, raw_entries), degree)
+    return _profile_ranks(spec.genus, _entries_profile(spec.lengths, raw_entries),
+                          range(degree, degree + 1))[0]
 
 
 def predicted_tau(case: str, lengths, b: int) -> int | None:

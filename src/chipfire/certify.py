@@ -81,15 +81,20 @@ def divisor_census(g: Graph) -> list[CensusEntry]:
     Degrees outside the window are determined by Riemann-Roch (rank -1 below
     zero, degree - genus above 2g-2) and are not listed.  Adding the base
     vertex leaves a class's coordinates alone, so its ranks at every degree
-    come from one profile read off its key.
+    come from one profile read off its key.  Classes of one profile share
+    their ranks, so each distinct profile is ranked once, for its first
+    class, which is the earliest witness it can give.
     """
     genus = g.genus
     eng = _engine(g)
     degrees = range(0, max(2 * genus - 1, 1))
     best = [-2] * len(degrees)      # below every rank, so the first class sets all
     witnesses: list[tuple] = [()] * len(degrees)
+    firsts: dict[tuple, tuple] = {}
     for rep in _class_reps(g):
-        ranks = eng.ranks(g, eng.key_profile(g, rep), degrees)
+        firsts.setdefault(eng.key_profile(g, rep), rep)
+    for profile, rep in firsts.items():
+        ranks = eng.ranks(g, profile, degrees)
         for i in [i for i, r in enumerate(ranks) if r > best[i]]:
             best[i], witnesses[i] = ranks[i], rep
     base = Divisor.at(g.base_vertex)
@@ -271,12 +276,12 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
                 return Certificate("KGT", "genus2-classification", {
                     "case": "2", "torsion": torsion_order(mg)})
             others = [x for x in loop if x not in (u, v)]
-            witness = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others])
+            witness, value = _verified_negative(mg, [Divisor({u: 1, x: 1}) for x in others])
             if witness is None:
                 raise AlgorithmError("same-loop marking was predicted non-submodular")
             return Certificate("NOT_KGT", "genus2-classification", {
                 "case": "same-loop", "reason": "non-submodular", "witness": witness,
-                "delta": delta(mg, witness)})
+                "delta": value})
     # no loop holds both marks, so neither is the shared vertex
     loop_u, loop_v = loops if u in loops[0] else loops[::-1]
     # each mark's cycle torsion is the order of [mark - w], w = loop[0]
@@ -305,12 +310,12 @@ def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
             "lower_bound": comb(3, 2), "genus": 2, "witness_divisor": witness,
             "witness_permutation": tau, "witness_inversions": inv_k(tau)})
     if case == "same-strand":
-        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
+        witness, value = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
         if witness is None:
             raise AlgorithmError("same-strand theta marking was predicted non-submodular")
         return Certificate("NOT_KGT", "genus2-classification", {
             "case": "same-strand", "reason": "non-submodular",
-            "witness": witness, "delta": delta(mg, witness)})
+            "witness": witness, "delta": value})
     # one-off marks are case 3a with a mark on the left hub, 3b on the right
     case = "3c" if case == "distinct" else "3a" if min(i, j) == 0 else "3b"
     nonrec = recurrence_witness(g, Divisor({u: 1, v: -1}))
@@ -322,13 +327,17 @@ def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
         "witness_vertex": nonrec[0], "witness_steps": [nonrec[1], nonrec[2]]})
 
 
-def _verified_negative(mg: MarkedGraph, candidates: list[Divisor]) -> Divisor | None:
+def _verified_negative(mg: MarkedGraph,
+                       candidates: list[Divisor]) -> tuple[Divisor | None, int | None]:
     """First candidate with negative second difference, else a full-sweep
-    witness; None only when every divisor really is submodular."""
+    witness, with its value; (None, None) only when every divisor really is
+    submodular."""
     for d in candidates:
-        if delta(mg, d) < 0:
-            return d
-    return all_submodular(mg).witness
+        value = delta(mg, d)
+        if value < 0:
+            return d, value
+    sweep = all_submodular(mg)
+    return sweep.witness, sweep.value
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +363,14 @@ def classify_banana(mg: MarkedGraph) -> Certificate:
     if case in ("hubs", "one-off"):
         reordered = [lengths[alpha]] + lengths[:alpha] + lengths[alpha + 1:]
         case = _bn.MULTIVALENT_PAIR if case == "hubs" else _bn.ONE_OFF
-        return _submodular_not_kgt(mg, case, _bn.inversion_lower_bound(case, reordered))
+        bound = _bn.inversion_lower_bound(case, reordered)
+        return _submodular_not_kgt(mg, strands, case, bound)
     if case == "same-strand":
-        witness = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
+        witness, value = _verified_negative(mg, _same_strand_twists(strands[alpha], i, j))
         if witness is None:
-            return _verified_general(mg, "same-strand-surprise")
+            return _verified_general(mg, strands, "same-strand-surprise")
         return Certificate("NON_SUBMODULAR", "banana-classification", {
-            "case": "same-strand", "witness": witness, "delta": delta(mg, witness)})
+            "case": "same-strand", "witness": witness, "delta": value})
 
     na, nb = lengths[alpha], lengths[beta]
     both_off = (i == 1 and j == nb - 1) or (i == na - 1 and j == 1)
@@ -368,17 +378,14 @@ def classify_banana(mg: MarkedGraph) -> Certificate:
         if na == 2 and nb == 2:
             if torsion_order(mg) != 2:
                 raise AlgorithmError("middle marks on two 2-strands must have torsion 2")
-            sweep = all_submodular(mg)
-            if not sweep.ok:
+            if not all_submodular(mg).ok:
                 raise AlgorithmError("torsion-2 banana marking was expected to be submodular")
-            return Certificate("KGT2", "banana-classification", {
-                "case": "both-off-2-strands", "torsion": 2, "genus": genus,
-                "submodularity_verified": True})
+            return _verified_general(mg, strands, "both-off-2-strands")
         if min(na, nb) < genus + 1:
-            return _submodular_not_kgt(mg, "both-off", None)
+            return _submodular_not_kgt(mg, strands, "both-off", None)
         reordered = [na, nb] + [n for c, n in enumerate(lengths) if c not in (alpha, beta)]
         bound = _bn.inversion_lower_bound(_bn.BOTH_OFF_MIN, reordered)
-        return _submodular_not_kgt(mg, _bn.BOTH_OFF_MIN, bound)
+        return _submodular_not_kgt(mg, strands, _bn.BOTH_OFF_MIN, bound)
 
     # Both marks are interior, so every offset below is too.  The family is
     # closed under reading all strands from the other hub (si -> la - si
@@ -392,17 +399,17 @@ def classify_banana(mg: MarkedGraph) -> Certificate:
                           + Divisor({pb[lb - 1]: 1}))
         candidates.append(Divisor({pa[si]: 1}) + Divisor({pa[la - 1]: 1})
                           + Divisor({pb[1]: 1}))
-    witness = _verified_negative(mg, candidates)
+    witness, value = _verified_negative(mg, candidates)
     if witness is None:
         # a marking the recipe family does not cover but the sweep certifies:
         # a mark in the middle of a length-2 strand leaves every divisor
         # submodular no matter where the other mark sits
-        return _verified_general(mg, "distinct-strands-surprise")
+        return _verified_general(mg, strands, "distinct-strands-surprise")
     return Certificate("NON_SUBMODULAR", "banana-classification", {
-        "case": "distinct-strands", "witness": witness, "delta": delta(mg, witness)})
+        "case": "distinct-strands", "witness": witness, "delta": value})
 
 
-def _verified_general(mg: MarkedGraph, case: str) -> Certificate:
+def _verified_general(mg: MarkedGraph, strands: list[list[str]], case: str) -> Certificate:
     """Verdict for an all-submodular marking already verified by a full sweep:
     torsion 2 gives general transmission outright, anything larger is settled
     by a computed witness permutation."""
@@ -410,16 +417,16 @@ def _verified_general(mg: MarkedGraph, case: str) -> Certificate:
         return Certificate("KGT2", "banana-classification", {
             "case": case, "torsion": 2, "genus": mg.graph.genus,
             "submodularity_verified": True})
-    return _submodular_not_kgt(mg, case, None, verified=True)
+    return _submodular_not_kgt(mg, strands, case, None, verified=True)
 
 
-def _submodular_not_kgt(mg: MarkedGraph, case: str, bound: int | None,
-                        verified: bool | None = None) -> Certificate:
+def _submodular_not_kgt(mg: MarkedGraph, strands: list[list[str]], case: str,
+                        bound: int | None, verified: bool | None = None) -> Certificate:
     """Verdict for a marking expected submodular with too many inversions,
     reported under case with the closed-form lower bound, if any."""
     g = mg.graph
     genus = g.genus
-    hub_path = banana_strands(g)[0]
+    hub_path = strands[0]
     hub_left, hub_right = Divisor.at(hub_path[0]), Divisor.at(hub_path[-1])
     best_tau = None
     best_div = None

@@ -374,11 +374,6 @@ def linear_equivalent(g: Graph, d1: Divisor, d2: Divisor) -> bool:
     return _reduced_key(g, _vec(g, d1), 0) == _reduced_key(g, _vec(g, d2), 0)
 
 
-def class_key(g: Graph, d: Divisor) -> tuple[int, ...]:
-    """Canonical per-class key: the base-reduced coefficient vector."""
-    return _reduced_key(g, _vec(g, d), 0)
-
-
 def enumerate_jacobian(g: Graph) -> list[Divisor]:
     """All degree-0 divisors reduced at the base vertex, one per class of the
     Jacobian, sorted by coefficient vector: c - deg(c)*base for the

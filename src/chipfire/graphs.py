@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 from operator import index
 from typing import Iterable, Mapping
 
@@ -396,8 +397,13 @@ def _laplacian_solve(g: Graph, b: list[int]) -> tuple[int, list[int]]:
 
 
 def jacobian_order(g: Graph) -> int:
-    """Number of spanning trees = order of the degree-0 class group = det L0."""
+    """Number of spanning trees = order of the degree-0 class group = det L0;
+    on a banana e_g of the lengths (one strand whole, one edge cut per other)."""
     if g._jac_order is None:
-        det, _ = _laplacian_solve(g, [0] * (len(g.vertices) - 1))
-        object.__setattr__(g, "_jac_order", det)
+        if g.banana is None:
+            order, _ = _laplacian_solve(g, [0] * (len(g.vertices) - 1))
+        else:
+            whole = prod(g.banana.lengths)
+            order = sum(whole // n for n in g.banana.lengths)
+        object.__setattr__(g, "_jac_order", order)
     return g._jac_order

@@ -8,11 +8,10 @@ import chipfire.banana as bn
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
                              BananaTuple, _entries_profile, _key_divisor,
                              _profile_ranks, _reduce_entries, _reduced_profile,
-                             _reduced_rank, _reduced_tuples, banana_rank,
+                             _reduced_tuples, banana_rank,
                              divisor_to_tuple, inversion_lower_bound,
                              predicted_tau, rank_of_tuple, reduce_tuple)
-from chipfire.divisors import (Divisor, class_key, dhar_reduce,
-                               linear_equivalent, rank)
+from chipfire.divisors import Divisor, dhar_reduce, linear_equivalent, rank
 from chipfire.errors import AlgorithmError, InvalidGraphError, WrongShapeError
 from chipfire.graphs import BananaSpec, MarkedGraph, build_banana
 from chipfire.perms import inv_k
@@ -89,7 +88,7 @@ def test_reduce_tuple_matches_burning_oracle(rng):
             t = divisor_to_tuple(spec, d)
             assert t.is_reduced()
             rebuilt = _tuple_class_divisor(g, t, d.degree)
-            assert class_key(g, d) == class_key(g, rebuilt)
+            assert linear_equivalent(g, d, rebuilt)
 
 
 def test_tuple_equivalence_criterion(rng):
@@ -198,8 +197,22 @@ def test_rank_kernel_matches_reduced_tuple(case):
     assert profile == _reduced_profile(lengths, reduced)
     genus = len(lengths) - 1
     degrees = range(degree - 3, degree + 2 * genus + 3)
+    spec = BananaSpec(lengths)
     assert _profile_ranks(genus, profile, degrees) == [
-        _reduced_rank(lengths, reduced, x) for x in degrees]
+        rank_of_tuple(BananaTuple(spec, reduced), x) for x in degrees]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_case())
+@example(((1, 1), [10 ** 30, -10 ** 30], -5))
+def test_rank_entries_matches_rank_of_reduced_tuple(case):
+    # rank_entries reads the profile off the raw entries; the oracle ranks
+    # the reduced tuple
+    lengths, entries, degree = case
+    spec = BananaSpec(lengths)
+    reduced = BananaTuple(spec, _reduce_entries(lengths, entries))
+    for x in range(degree - 3, degree + 3):
+        assert bn.rank_entries(spec, entries, x) == rank_of_tuple(reduced, x)
 
 
 def test_no_zero_entry_self_check_raises_on_a_bad_shift(monkeypatch):
@@ -245,7 +258,7 @@ def test_divisor_to_tuple_zero_and_canonical(rng):
     k = canonical_divisor(g)
     t = divisor_to_tuple(spec, k)
     rebuilt = _tuple_class_divisor(g, t, k.degree)
-    assert class_key(g, k) == class_key(g, rebuilt)
+    assert linear_equivalent(g, k, rebuilt)
 
 
 def test_key_divisor_shapes():

@@ -187,6 +187,14 @@ def test_jacobian_order_banana_closed_form(rng):
         assert jacobian_order(g) == closed
 
 
+def test_jacobian_order_banana_formula_matches_dense_solve(rng):
+    # the same graph without its banana spec takes the dense determinant
+    cases = [[rng.randint(1, 9) for _ in range(rng.randint(2, 8))] for _ in range(12)]
+    for lengths in cases + [[1] * 1200]:
+        g = build_banana(lengths)
+        assert jacobian_order(g) == jacobian_order(Graph(g.vertices, g.edges))
+
+
 def test_graph_immutable():
     g = build_theta(1, 1, 1)
     with pytest.raises(AttributeError):

@@ -8,12 +8,14 @@ import random
 
 import pytest
 
-from chipfire.banana import _raw_entries, _reduce_entries, _reduced_rank
+import chipfire.banana as bn
+from chipfire.banana import (BananaTuple, _raw_entries, _reduce_entries,
+                             rank_of_tuple)
 from chipfire.certify import (CensusEntry, bn_general_marked, divisor_census,
                               rho)
 from chipfire.divisors import Divisor, _vec, rank
 from chipfire.errors import AlgorithmError, NonSubmodularError
-from chipfire.graphs import Graph, MarkedGraph, build_banana
+from chipfire.graphs import Graph, MarkedGraph, build_banana, jacobian_order
 from chipfire.perms import EafPerm, inv_k
 from chipfire.transmission import (_class_reps, _engine, _orbit_keys,
                                    _ordered_orbit_reps, _rep_divisor,
@@ -36,8 +38,8 @@ def _old_raw(g, d):
 def _old_rank_raw(g, raw, degree):
     if g.banana is None:
         return rank(g, raw)
-    lengths = g.banana.lengths
-    return _reduced_rank(lengths, _reduce_entries(lengths, raw), degree)
+    reduced = _reduce_entries(g.banana.lengths, raw)
+    return rank_of_tuple(BananaTuple(g.banana, reduced), degree)
 
 
 def _old_rank(g, d):
@@ -280,6 +282,30 @@ def test_genus3_banana_sweeps_match_divisor_form(g):
     for v in (g.base_vertex, g.banana.right, g.vertices[-1]):
         _check_marked(g, v)
     _check_marked(plain, g.vertices[-1])
+
+
+@pytest.mark.parametrize("lengths", [(2, 2, 2, 2, 2), (4, 3, 3, 2, 2), (4, 4, 3, 3, 2),
+                                     (3, 2, 2, 1, 1, 1), (2, 2, 2, 2, 2, 2),
+                                     (3, 3, 3, 2, 2, 1)],
+                         ids=lambda lengths: "-".join(map(str, lengths)))
+def test_census_by_profile_matches_divisor_form(lengths):
+    # genus 4-5 and at most 500 classes, where many classes share a profile
+    g = build_banana(lengths)
+    eng = _engine(g)
+    profiles = {eng.key_profile(g, rep) for rep in _class_reps(g)}
+    assert len(profiles) < jacobian_order(g) <= 500
+    assert divisor_census(g) == _old_census(g)
+
+
+def test_census_ranks_each_profile_once(monkeypatch):
+    # banana 3 3 3 3 has 108 classes and 10 distinct profiles
+    calls = []
+    ranks = bn._profile_ranks
+    monkeypatch.setattr(bn, "_profile_ranks", lambda *a: calls.append(a) or ranks(*a))
+    g = build_banana((3, 3, 3, 3))
+    assert jacobian_order(g) == 108
+    divisor_census(g)
+    assert len(calls) == 10
 
 
 def test_random_multigraph_sweeps_match_divisor_form():
