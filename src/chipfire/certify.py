@@ -124,15 +124,24 @@ def bn_general_marked(g: Graph, v: str) -> Certificate:
     """Once-marked generality: every Weierstrass partition has size <= genus.
 
     Partitions are invariant under adding multiples of the mark, so one
-    representative per degree-0 class covers everything.
+    representative per degree-0 class covers everything.  At the base vertex
+    the line stays in one class, so classes of one profile share a partition:
+    only the first of each, its earliest witness, is read.
     """
     v = g.resolve(v)
     genus = g.genus
     eng = _engine(g)
     dv = eng.raw(g, Divisor.at(v))
+    at_base = not any(dv)
+    seen: set[tuple] = set()
     worst = 0
     for rep in _class_reps(g):
-        lam = _partition(g, rep, 0, dv, {rep: eng.key_profile(g, rep)})
+        profile = eng.key_profile(g, rep)
+        if profile in seen:
+            continue
+        if at_base:
+            seen.add(profile)
+        lam = _partition(g, rep, 0, dv, {rep: profile})
         if lam.size > genus:
             return Certificate(NOT_GENERAL, "partition-sweep", {
                 "genus": genus,

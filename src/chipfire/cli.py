@@ -15,6 +15,7 @@ output is byte-deterministic unless --timing is requested.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -27,9 +28,9 @@ from . import transmission as _tr
 from .divisors import Divisor, dhar_reduce, rank
 from .errors import ChipfireError, NonSubmodularError
 from .graphs import Graph, MarkedGraph
-from .perms import EafPerm, inv_k, sci
+from .perms import inv_k, sci
 from .specfile import SpecDocument, divisor_on, parse_divisor_tokens, parse_spec
-from .transmission import KgtCertificate, WeierstrassPartition
+from .transmission import KgtCertificate
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,18 +40,10 @@ EXIT_ERROR = 2
 def _json_safe(obj):
     if isinstance(obj, Divisor):
         return {v: c for v, c in obj.items()}
-    if isinstance(obj, EafPerm):
+    if isinstance(obj, KgtCertificate):  # its JSON names are not its field names
         return obj.to_json_dict()
-    if isinstance(obj, KgtCertificate):
-        return obj.to_json_dict()
-    if isinstance(obj, _certify.Certificate):
-        return {"verdict": obj.verdict, "method": obj.method,
-                "evidence": _json_safe(obj.evidence)}
-    if isinstance(obj, _certify.CensusEntry):
-        return {"d": obj.d, "r": obj.r, "rho": obj.rho,
-                "witness": _json_safe(obj.witness)}
-    if isinstance(obj, WeierstrassPartition):
-        return {"parts": list(obj.parts), "pole_orders": list(obj.pole_orders)}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

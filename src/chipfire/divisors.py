@@ -285,29 +285,25 @@ def canonical_divisor(g: Graph) -> Divisor:
     return Divisor({v: g._val[i] - 2 for i, v in enumerate(g.vertices)})
 
 
-def _resolve_rds(g: Graph, rank_determining_set):
-    """The vertex indices the rank descent visits, with its cache name.
+def _resolve_rds(g: Graph):
+    """The vertex indices the rank descent visits: the vertex set of a
+    loopless model of g, computed once per graph.
 
-    By default that is the vertex set of a loopless model of g, computed once
-    per graph: every vertex of valence other than 2, one vertex of each
+    That is every vertex of valence other than 2, one vertex of each
     valence-2 walk that comes back to its start (the smaller of its two
     vertices next to the start, so the walks in both directions agree), and
     vertices 0 and 1 when g is a single cycle.
     """
-    if rank_determining_set not in (None, "full"):
-        raise ValueError(f"rank_determining_set is None or 'full', not {rank_determining_set!r}")
-    if rank_determining_set == "full":
-        return range(len(g.vertices)), "full"
     if g._rds is None:
         keep = {i for i, val in enumerate(g._val) if val != 2}
         for i in list(keep):
             keep.update(g.index(min(walk[1], walk[-2]))
                         for walk in _branch_walks(g, g.vertices[i]) if walk[-1] == walk[0])
         object.__setattr__(g, "_rds", tuple(sorted(keep)) or (0, 1))
-    return g._rds, "rds"
+    return g._rds
 
 
-def rank(g: Graph, d: Divisor | Sequence[int], *, rank_determining_set=None) -> int:
+def rank(g: Graph, d: Divisor | Sequence[int]) -> int:
     """Baker-Norine rank by descent over a rank-determining set A.
 
     d is a Divisor or its coefficient sequence in vertex-index order (the
@@ -317,8 +313,7 @@ def rank(g: Graph, d: Divisor | Sequence[int], *, rank_determining_set=None) -> 
     ``_resolve_rds``), which is rank-determining on the metric graph (Luo,
     "Rank-determining sets of metric graphs", JCTA 2011); graph and metric
     rank agree on loopless graphs (Hladky-Kral-Norine, "Rank of divisors on
-    tropical curves", JCTA 2013).  On bananas A is the two hubs.  Pass "full"
-    to descend over every vertex instead.
+    tropical curves", JCTA 2013).  On bananas A is the two hubs.
     """
     if isinstance(d, Divisor):
         vec = _vec(g, d)
@@ -328,9 +323,8 @@ def rank(g: Graph, d: Divisor | Sequence[int], *, rank_determining_set=None) -> 
             raise ValueError(f"{len(vec)} coefficients for {len(g.vertices)} vertices")
     if sum(vec) < 0:
         return -1
-    rds, mode = _resolve_rds(g, rank_determining_set)
-    cache = g._rank_caches.setdefault(mode, {})
-    return _descend(g, _reduced_key(g, vec, 0), rds, cache)
+    cache = g._rank_caches.setdefault("rds", {})
+    return _descend(g, _reduced_key(g, vec, 0), _resolve_rds(g), cache)
 
 
 def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:

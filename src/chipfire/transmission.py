@@ -263,14 +263,14 @@ def _twist_divisor(mg: MarkedGraph, d: Divisor, a: int, b: int) -> Divisor:
 
 
 def is_submodular_divisor(mg: MarkedGraph, d: Divisor) -> SubmodularityVerdict:
-    """Check the second difference on every twist of d."""
+    """Check the second difference on every twist of d, through the twist rows
+    of ``_permutation`` (for u = v the torsion is 1 and there is one row)."""
     g = mg.graph
     column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
-    for b, vals in _second_differences(column, g.genus, d.degree, torsion_order(mg)):
-        if min(vals) < 0:
-            i = next(i for i, val in enumerate(vals) if val < 0)
-            return SubmodularityVerdict(False, _twist_divisor(mg, d, b - d.degree + i, b),
-                                        vals[i])
+    try:
+        _permutation(mg, column, d.degree, lambda: d)
+    except NonSubmodularError as err:
+        return SubmodularityVerdict(False, err.witness, err.value)
     return SubmodularityVerdict(True, None, None)
 
 
@@ -300,21 +300,19 @@ def transmission_permutation(mg: MarkedGraph, d: Divisor) -> EafPerm:
 def _permutation(mg: MarkedGraph, column: Callable[[int, range], list[int]],
                  degree: int, divisor: Callable[[], Divisor]) -> EafPerm:
     """The transmission permutation from the twist columns of a divisor D of
-    the given degree; divisor() builds D only for a non-submodular witness."""
-    k = torsion_order(mg)
-    window: list[int | None] = [None] * k
-    for b, vals in _second_differences(column, mg.graph.genus, degree, k):
-        # the first nonzero value may be the slot's 1; any other is a witness
-        slots = [i for i, val in enumerate(vals) if val]
-        if slots and vals[slots[0]] == 1:
-            window[b] = b - degree + slots.pop(0)
-        if slots:
-            i = slots[0]
-            raise NonSubmodularError(_twist_divisor(mg, divisor(), b - degree + i, b), vals[i])
-    if None in window:
-        raise AlgorithmError(
-            f"no window value found at slot {window.index(None)}; this is a bug")
-    return EafPerm(k, tuple(window))
+    the given degree; divisor() builds D only for a non-submodular witness.
+    A chip raises rank by 0 or 1 and Riemann-Roch fixes a row's ends, so a
+    row's values are -1, 0 or 1 and sum to 1: it is non-submodular at its
+    first -1, or else its single 1 is the slot's window value."""
+    window = []
+    for b, vals in _second_differences(column, mg.graph.genus, degree, torsion_order(mg)):
+        if -1 in vals:
+            i = vals.index(-1)
+            raise NonSubmodularError(_twist_divisor(mg, divisor(), b - degree + i, b), -1)
+        if vals.count(1) != 1:
+            raise AlgorithmError(f"twist row {b} has no single 1; this is a bug")
+        window.append(b - degree + vals.index(1))
+    return EafPerm(len(window), tuple(window))
 
 
 def twist_orbit(mg: MarkedGraph, d: Divisor, degree: int) -> TwistOrbit:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chipfire.divisors import Divisor, dhar_reduce
+from chipfire.divisors import Divisor, _descend, _reduced_key, _vec, dhar_reduce
 from chipfire.graphs import Graph
 
 
@@ -52,6 +52,23 @@ def spanning_trees_brute(g: Graph) -> int:
         if ok:
             count += 1
     return count
+
+
+# (graph, cache) of the last graph full_rank saw; callers rank many
+# divisors on one graph before moving to the next
+_FULL_CACHE: list = [None, {}]
+
+
+def full_rank(g: Graph, d) -> int:
+    """Rank by descent over every vertex of g: the reference for the
+    loopless-model descent of ``rank``.  d is a Divisor or a coefficient
+    sequence; the descent cache is shared across calls on the same graph."""
+    vec = _vec(g, d) if isinstance(d, Divisor) else list(d)
+    if sum(vec) < 0:
+        return -1
+    if _FULL_CACHE[0] is not g:
+        _FULL_CACHE[:] = [g, {}]
+    return _descend(g, _reduced_key(g, vec, 0), range(len(g.vertices)), _FULL_CACHE[1])
 
 
 def definitional_rank(g: Graph, d: Divisor, max_r=None) -> int:

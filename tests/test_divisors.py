@@ -12,7 +12,7 @@ from chipfire.graphs import (Graph, build_banana, build_cycle, build_general,
                              build_theta, jacobian_order)
 from chipfire.specfile import parse_spec
 
-from conftest import definitional_rank, random_connected_multigraph, random_divisor
+from conftest import definitional_rank, full_rank, random_connected_multigraph, random_divisor
 
 
 def test_divisor_arithmetic():
@@ -213,7 +213,7 @@ def test_rank_definitional_oracle(rng):
         d = random_divisor(rng, g, lo=-2, hi=3)
         if d.degree > 5:
             continue
-        assert rank(g, d, rank_determining_set="full") == definitional_rank(g, d)
+        assert full_rank(g, d) == definitional_rank(g, d)
 
 
 def test_rank_descent_with_zero_entries(rng):
@@ -226,7 +226,7 @@ def test_rank_descent_with_zero_entries(rng):
                 continue
             d = Divisor(zip(g.vertices, coeffs))
             want = definitional_rank(g, d)
-            assert rank(g, d) == rank(g, d, rank_determining_set="full") == want, (g.edges, d)
+            assert rank(g, d) == full_rank(g, d) == want, (g.edges, d)
 
 
 def test_rank_accepts_vectors(rng):
@@ -234,8 +234,8 @@ def test_rank_accepts_vectors(rng):
         g = random_connected_multigraph(rng)
         d = random_divisor(rng, g, lo=-2, hi=4)
         vec = _vec(g, d)
-        for rds in (None, "full"):
-            assert rank(g, vec, rank_determining_set=rds) == rank(g, d, rank_determining_set=rds)
+        assert rank(g, vec) == rank(g, d)
+        assert full_rank(g, vec) == full_rank(g, d)
         assert rank(g, tuple(vec)) == rank(g, d)
         assert vec == _vec(g, d)  # the input is not reduced in place
     with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ def test_rank_hub_pair_determines_banana_ranks(rng):
         lengths = [rng.randint(1, 3) for _ in range(genus + 1)]
         g = build_banana(lengths)
         d = random_divisor(rng, g, lo=-2, hi=3)
-        assert rank(g, d) == rank(g, d, rank_determining_set="full")
+        assert rank(g, d) == full_rank(g, d)
 
 
 def _dressed_multigraph(rng) -> Graph:
@@ -292,12 +292,12 @@ def test_rank_loopless_model_matches_full_descent(rng):
         g = _dressed_multigraph(rng)
         for _ in range(4):
             d = random_divisor(rng, g, lo=-1, hi=3)
-            assert rank(g, d) == rank(g, d, rank_determining_set="full"), (g.edges, d)
+            assert rank(g, d) == full_rank(g, d), (g.edges, d)
 
 
 def test_rank_determining_set_shapes():
     def names(g):
-        return [g.vertices[i] for i in _resolve_rds(g, None)[0]]
+        return [g.vertices[i] for i in _resolve_rds(g)]
 
     assert names(build_banana([3, 1, 2, 2])) == ["s0.0", "s0.3"]
     assert names(Graph("pqrs", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "p")])) == ["p", "q"]
@@ -306,8 +306,6 @@ def test_rank_determining_set_shapes():
     tree = Graph("rabcde", [("r", "a"), ("a", "b"), ("r", "c"), ("r", "d"), ("d", "e")])
     assert names(tree) == ["b", "c", "e", "r"]
     assert names(Graph(["a"], [])) == ["a"]
-    with pytest.raises(ValueError):
-        rank(tree, Divisor(), rank_determining_set=["r"])
 
 
 def test_rank_leaves_no_reference_cycles():

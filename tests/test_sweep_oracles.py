@@ -9,17 +9,21 @@ import random
 import pytest
 
 import chipfire.banana as bn
+import chipfire.certify as certify
 from chipfire.banana import (BananaTuple, _raw_entries, _reduce_entries,
                              rank_of_tuple)
 from chipfire.certify import (CensusEntry, bn_general_marked, divisor_census,
                               rho)
 from chipfire.divisors import Divisor, _vec, rank
 from chipfire.errors import AlgorithmError, NonSubmodularError
-from chipfire.graphs import Graph, MarkedGraph, build_banana, jacobian_order
+from chipfire.graphs import (Graph, MarkedGraph, build_banana, build_theta,
+                             jacobian_order)
 from chipfire.perms import EafPerm, inv_k
 from chipfire.transmission import (_class_reps, _engine, _orbit_keys,
-                                   _ordered_orbit_reps, _rep_divisor,
-                                   _twist_divisor, all_submodular, delta,
+                                   _ordered_orbit_reps, _permutation,
+                                   _rep_divisor, _second_differences,
+                                   _twist_columns, _twist_divisor,
+                                   all_submodular, delta,
                                    is_submodular_divisor, kgt_check,
                                    torsion_order, transmission_permutation,
                                    weierstrass_partition)
@@ -141,9 +145,9 @@ def _old_bn_marked(g, v):
         d = _rep_divisor(g, rep)
         parts, _ = _old_partition(g, v, d)
         if sum(parts) > g.genus:
-            return "NOT_GENERAL", d, list(parts)
+            return "NOT_GENERAL", d, list(parts), sum(parts)
         worst = max(worst, sum(parts))
-    return "CERTIFIED_GENERAL", worst, None
+    return "CERTIFIED_GENERAL", None, None, worst
 
 
 def _old_ordered_orbit_reps(mg, k):
@@ -219,11 +223,9 @@ def _check_kgt(mg):
 
 def _check_marked(g, v):
     cert = bn_general_marked(g, v)
-    old = _old_bn_marked(g, v)
-    if cert.verdict == "NOT_GENERAL":
-        assert old == ("NOT_GENERAL", cert.evidence["witness"], cert.evidence["partition"])
-    else:
-        assert old == ("CERTIFIED_GENERAL", cert.evidence["max_partition_size"], None)
+    ev = cert.evidence
+    assert (cert.verdict, ev.get("witness"), ev.get("partition"),
+            ev.get("size", ev.get("max_partition_size"))) == _old_bn_marked(g, v), v
 
 
 def _genus3_bananas():
@@ -337,3 +339,98 @@ def test_weierstrass_partition_matches_divisor_form():
                 v = rng.choice(plain.vertices)
                 lam = weierstrass_partition(plain, v, d)
                 assert (lam.parts, lam.pole_orders) == _old_partition(plain, v, d)
+
+
+# ---------------------------------------------------------------------------
+# the twist-row rule against the slot rule and the scan it replaced
+
+
+def _old_slot_permutation(mg, column, degree, d):
+    """_permutation before the row rule: the first nonzero value of a row may
+    be its 1, and any other nonzero value is a witness."""
+    k = torsion_order(mg)
+    window = [None] * k
+    for b, vals in _second_differences(column, mg.graph.genus, degree, k):
+        slots = [i for i, val in enumerate(vals) if val]
+        if slots and vals[slots[0]] == 1:
+            window[b] = b - degree + slots.pop(0)
+        if slots:
+            i = slots[0]
+            raise NonSubmodularError(_twist_divisor(mg, d, b - degree + i, b), vals[i])
+    if None in window:
+        raise AlgorithmError("no window value")
+    return EafPerm(k, tuple(window))
+
+
+def _old_submodular_scan(mg, d):
+    """is_submodular_divisor before the row rule: the first negative value."""
+    g = mg.graph
+    column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
+    for b, vals in _second_differences(column, g.genus, d.degree, torsion_order(mg)):
+        if min(vals) < 0:
+            i = next(i for i, val in enumerate(vals) if val < 0)
+            return False, _twist_divisor(mg, d, b - d.degree + i, b), vals[i]
+    return True, None, None
+
+
+def _row_divisor(rng, g):
+    """A divisor of degree -1 to 2g + 1 with up to two negative chips."""
+    degree = rng.randint(-1, 2 * g.genus + 1)
+    negative = rng.choice((0, 0, 1, 2))
+    coeffs = {}
+    for sign, count in ((1, degree + negative), (-1, negative)):
+        for _ in range(count):
+            v = rng.choice(g.vertices)
+            coeffs[v] = coeffs.get(v, 0) + sign
+    return Divisor(coeffs)
+
+
+def _row_graphs(rng):
+    """Bananas of 2-6 strands of length 1-5, then random multigraphs."""
+    for _ in range(25):
+        yield build_banana([rng.randint(1, 5) for _ in range(rng.randint(2, 6))])
+    for _ in range(20):
+        yield random_connected_multigraph(rng, 5, 3)
+
+
+def test_twist_rows_match_slot_rule():
+    rng = random.Random(20261020)
+    for g in _row_graphs(rng):
+        u, v = rng.sample(g.vertices, 2)
+        for marks in ((u, v), (v, u), (u, u)):
+            mg = MarkedGraph(g, *marks)
+            for _ in range(2):
+                d = _row_divisor(rng, g)
+                column = _twist_columns(mg, _engine(g).raw(g, d), d.degree)
+                for _, vals in _second_differences(column, g.genus, d.degree,
+                                                   torsion_order(mg)):
+                    assert set(vals) <= {-1, 0, 1} and sum(vals) == 1, (g.edges, marks, d)
+                assert (_outcome(_permutation, mg, column, d.degree, lambda: d)
+                        == _outcome(_old_slot_permutation, mg, column, d.degree, d))
+                assert tuple(is_submodular_divisor(mg, d)) == _old_submodular_scan(mg, d)
+
+
+# ---------------------------------------------------------------------------
+# once-marked generality by profile at the base vertex
+
+
+@pytest.mark.parametrize("lengths", [(4, 3, 2), (2, 2, 2)],
+                         ids=lambda lengths: "-".join(map(str, lengths)))
+def test_bn_marked_on_thetas_matches_divisor_form(lengths):
+    # at genus 2 a mark goes either way: (4, 3, 2) is general at its hubs and
+    # not at s2.1, (2, 2, 2) not at s0.1; every mark, the base vertex included
+    g = build_banana(lengths)
+    for plain in (g, Graph(g.vertices, g.edges)):
+        for v in g.vertices:
+            _check_marked(plain, v)
+
+
+def test_bn_marked_at_base_reads_each_profile_once(monkeypatch):
+    # theta 4 1 4 marked at L: 24 classes with 6 distinct profiles
+    calls = []
+    partition = certify._partition
+    monkeypatch.setattr(certify, "_partition", lambda *a: calls.append(a) or partition(*a))
+    g = build_theta(4, 1, 4)
+    assert jacobian_order(g) == 24
+    assert bn_general_marked(g, "L").verdict == "CERTIFIED_GENERAL"
+    assert len(calls) == 6

@@ -16,7 +16,7 @@ from chipfire.transmission import (all_submodular, delta,
                                    twist_orbit, weierstrass_partition,
                                    _class_reps, _rep_divisor, _class_rank)
 
-from conftest import random_connected_multigraph
+from conftest import full_rank, random_connected_multigraph
 
 
 def two_triangles():
@@ -618,5 +618,5 @@ def test_class_rank_banana_huge_twist():
     d0 = Divisor.at(mg.u) - Divisor.at(mg.v)
     d = Divisor({"s0.1": 5})
     n = 3 * 10 ** 6
-    small = rank(g, d + (n % k) * d0, rank_determining_set="full")
+    small = full_rank(g, d + (n % k) * d0)
     assert _class_rank(g, d + n * d0) == small
