@@ -46,11 +46,10 @@ BOTH_OFF_MIN = "both_off_min"
 
 @dataclass(frozen=True)
 class BananaTuple:
-    """Coset representative: entries a_alpha plus the degree the class lives in."""
+    """Coset representative: entries a_alpha of a degree-0 class."""
 
     spec: BananaSpec
     entries: tuple[int, ...]
-    degree_offset: int = 0
 
     def __post_init__(self):
         if len(self.entries) != len(self.spec.lengths):
@@ -163,7 +162,7 @@ def _entries_order(lengths: tuple[int, ...], entries) -> int:
 
 def reduce_tuple(t: BananaTuple) -> BananaTuple:
     """Unique reduced representative of the same coset; fixed point on reduced input."""
-    return BananaTuple(t.spec, _reduce_entries(t.spec.lengths, t.entries), t.degree_offset)
+    return BananaTuple(t.spec, _reduce_entries(t.spec.lengths, t.entries))
 
 
 def _reduced_tuples(lengths: tuple[int, ...]) -> Iterator[tuple]:
@@ -183,8 +182,8 @@ def _reduced_tuples(lengths: tuple[int, ...]) -> Iterator[tuple]:
 
 
 def divisor_to_tuple(spec: BananaSpec, d: Divisor) -> BananaTuple:
-    """Reduced tuple of [d - deg(d) * L], carrying deg(d) as the offset."""
-    return BananaTuple(spec, _reduce_entries(spec.lengths, _raw_entries(spec, d)), d.degree)
+    """Reduced tuple of [d - deg(d) * L]."""
+    return BananaTuple(spec, _reduce_entries(spec.lengths, _raw_entries(spec, d)))
 
 
 def _key_divisor(spec: BananaSpec, key) -> Divisor:

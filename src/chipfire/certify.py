@@ -18,6 +18,7 @@ explicit witness that the hidden verify-witness CLI path can re-check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
@@ -51,11 +52,6 @@ class CensusEntry:
     r: int
     rho: int
     witness: Divisor | None
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    components: tuple[MarkedGraph, ...]
 
 
 @dataclass(frozen=True)
@@ -477,7 +473,7 @@ def _submodular_not_kgt(mg: MarkedGraph, strands: list[list[str]], case: str,
 # chains
 
 
-def chain_certify(chain: ChainSpec | list[MarkedGraph]) -> Certificate:
+def chain_certify(chain: Sequence[MarkedGraph]) -> Certificate:
     """Generality of an iterated vertex gluing from per-component certificates.
 
     Every component must have general transmission (computed, not trusted).
@@ -487,7 +483,7 @@ def chain_certify(chain: ChainSpec | list[MarkedGraph]) -> Certificate:
     half-genus bound.  The criteria are sufficient only, so failing them
     yields INCONCLUSIVE, never NOT_GENERAL.
     """
-    components = tuple(chain.components if isinstance(chain, ChainSpec) else chain)
+    components = tuple(chain)
     if not components:
         raise WrongShapeError("empty chain")
     comps = []

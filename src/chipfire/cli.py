@@ -30,7 +30,6 @@ from .errors import ChipfireError, NonSubmodularError
 from .graphs import Graph, MarkedGraph
 from .perms import inv_k, sci
 from .specfile import SpecDocument, divisor_on, parse_divisor_tokens, parse_spec
-from .transmission import KgtCertificate
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -40,10 +39,9 @@ EXIT_ERROR = 2
 def _json_safe(obj):
     if isinstance(obj, Divisor):
         return {v: c for v, c in obj.items()}
-    if isinstance(obj, KgtCertificate):  # its JSON names are not its field names
-        return obj.to_json_dict()
     if dataclasses.is_dataclass(obj):
-        return {f.name: _json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.metadata.get("json", f.name): _json_safe(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

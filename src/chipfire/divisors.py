@@ -13,6 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import index
 
+from . import graphs
 from .errors import AlgorithmError, ChipfireError, EnumerationCapError
 from .graphs import Graph, _branch_walks
 
@@ -114,16 +115,12 @@ def _check_cap(g: Graph) -> int:
     The limit is the CHIPFIRE_CLASS_CAP environment variable, else
     DEFAULT_CLASS_CAP; every class sweep checks it here before any work.
     """
-    # imported at call time, so that bench/tracer.py's rebinding of
-    # graphs.jacobian_order is seen
-    from .graphs import jacobian_order
-
     env = os.environ.get("CHIPFIRE_CLASS_CAP")
     try:
         limit = int(env) if env else DEFAULT_CLASS_CAP
     except ValueError:
         raise ChipfireError(f"CHIPFIRE_CLASS_CAP={env!r} is not an integer") from None
-    order = jacobian_order(g)
+    order = graphs.jacobian_order(g)
     if order > limit:
         raise EnumerationCapError(
             f"{order} classes exceeds the cap of {limit} (set CHIPFIRE_CLASS_CAP to raise)")
@@ -354,11 +351,6 @@ def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:
             val = 1 + best
     cache[key] = val
     return val
-
-
-def support_complex(g: Graph, d: Divisor) -> set[str]:
-    """Vertices the class can send a chip to while staying effective."""
-    return {v for v in g.vertices if rank(g, d - Divisor.at(v)) >= 0}
 
 
 def linear_equivalent(g: Graph, d1: Divisor, d2: Divisor) -> bool:

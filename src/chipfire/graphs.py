@@ -250,11 +250,6 @@ def build_cycle(a: int, b: int) -> MarkedGraph:
     return MarkedGraph(g, "L", "R")
 
 
-def build_general(vertices: Iterable[str], edges) -> Graph:
-    """Validating constructor for arbitrary graphs."""
-    return Graph(vertices, edges)
-
-
 def vertex_glue(g1: MarkedGraph, g2: MarkedGraph) -> MarkedGraph:
     """Disjoint union with g1's out-mark identified to g2's in-mark.
 

@@ -87,13 +87,6 @@ class EafPerm:
     def descents(self) -> list[int]:
         return [i for i in range(self.modulus) if self(i) > self(i + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {"modulus": self.modulus, "window": list(self.window)}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "EafPerm":
-        return EafPerm(data["modulus"], tuple(data["window"]))
-
     def __repr__(self):
         return f"EafPerm(k={self.modulus}, window={list(self.window)})"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .divisors import Divisor
 from .errors import InvalidGraphError, SpecParseError
-from .graphs import Graph, MarkedGraph, build_banana, build_general
+from .graphs import Graph, MarkedGraph, build_banana
 
 _FAMILY_KINDS = ("banana", "theta", "cycle")
 
@@ -58,7 +58,7 @@ class SpecDocument:
         if self.kind == "chain":
             raise SpecParseError("chain files describe components, not a single graph")
         if self._built is None:
-            g = (build_general(self.vertices, list(self.edge_list)) if self.kind == "graph"
+            g = (Graph(self.vertices, list(self.edge_list)) if self.kind == "graph"
                  else build_banana(self.lengths))
             object.__setattr__(self, "_built", g)
         return self._built

@@ -30,7 +30,7 @@ witness or extremal divisor is built as a ``Divisor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -155,15 +155,6 @@ class SubmodularityVerdict(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TwistOrbit:
-    """The k twist classes of a divisor in one fixed degree."""
-
-    base: Divisor
-    degree: int
-    representatives: tuple[Divisor, ...]
-
-
-@dataclass(frozen=True)
 class WeierstrassPartition:
     """How ranks grow along multiples of a marked vertex, recorded as the
     nonincreasing excess over the Riemann-Roch floor."""
@@ -179,10 +170,10 @@ class WeierstrassPartition:
 @dataclass(frozen=True)
 class KgtCertificate:
     verdict: str                      # "PASS" | "FAIL"
-    torsion: int
+    torsion: int = field(metadata={"json": "torsion_order"})
     genus: int
     max_inversions: int | None
-    extremal: Divisor | None
+    extremal: Divisor | None = field(metadata={"json": "extremal_divisor"})
     nonsubmodular_witness: Divisor | None
     orbits_checked: int
     class_count: int
@@ -191,20 +182,6 @@ class KgtCertificate:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "torsion_order": self.torsion,
-            "genus": self.genus,
-            "max_inversions": self.max_inversions,
-            "extremal_divisor": dict(self.extremal.items()) if self.extremal else None,
-            "nonsubmodular_witness": (dict(self.nonsubmodular_witness.items())
-                                      if self.nonsubmodular_witness else None),
-            "orbits_checked": self.orbits_checked,
-            "class_count": self.class_count,
-            "exhaustive": self.exhaustive,
-        }
 
 
 def _twist_columns(mg: MarkedGraph, raw, degree: int,
@@ -313,14 +290,6 @@ def _permutation(mg: MarkedGraph, column: Callable[[int, range], list[int]],
             raise AlgorithmError(f"twist row {b} has no single 1; this is a bug")
         window.append(b - degree + vals.index(1))
     return EafPerm(len(window), tuple(window))
-
-
-def twist_orbit(mg: MarkedGraph, d: Divisor, degree: int) -> TwistOrbit:
-    """The k classes of twists of d in the given degree, walked by u - v."""
-    k = torsion_order(mg)
-    offset = degree - d.degree
-    reps = tuple(_twist_divisor(mg, d, offset + n, n) for n in range(k))
-    return TwistOrbit(d, degree, reps)
 
 
 def _class_reps(g: Graph) -> Iterator[tuple]:

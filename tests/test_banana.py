@@ -253,7 +253,7 @@ def test_divisor_to_tuple_zero_and_canonical(rng):
     g = build_banana([2, 2, 2])
     spec = g.banana
     t = divisor_to_tuple(spec, Divisor())
-    assert t.entries == (0, 0, 0) and t.degree_offset == 0
+    assert t.entries == (0, 0, 0)
     from chipfire.divisors import canonical_divisor
     k = canonical_divisor(g)
     t = divisor_to_tuple(spec, k)
@@ -340,6 +340,28 @@ def test_predicted_tau_agrees_with_computed(rng):
                 p = predicted_tau(case, lengths, b)
                 if p is not None:
                     assert p == tau(b), (lengths, case, b)
+
+
+def test_predicted_tau_both_off_branches():
+    # strands of length up to 4 never reach three of the four both-off
+    # formulas; longer marked strands with short tails reach all four
+    fired = set()
+    for n0, n1, tail in product(range(2, 9), range(2, 9), [(1, 1), (2, 1), (1, 1, 1)]):
+        lengths = (n0, n1) + tail
+        g = build_banana(list(lengths))
+        genus = g.genus
+        tau = transmission_permutation(MarkedGraph(g, "s0.1", f"s1.{n1 - 1}"),
+                                       Divisor({f"s0.{n0}": genus}))
+        for b in range(min(tau.modulus, 4 * genus + 2 * max(lengths) + 4)):
+            p = predicted_tau(BOTH_OFF, lengths, b)
+            if p is None:
+                continue
+            assert p == tau(b), (lengths, b)
+            if max(2, genus + 3 - n0) <= b <= min(genus - 1, n1 - 2):
+                fired.add("g - b + 2")
+            else:
+                fired.add({0: "m + 1", n1 - 1: "g + (b+1)//n1"}.get(b % n1, "g + 2m - b + 2"))
+    assert fired == {"g - b + 2", "m + 1", "g + (b+1)//n1", "g + 2m - b + 2"}
 
 
 def test_inversion_lower_bound_values():

@@ -5,8 +5,8 @@ import pytest
 from math import comb, lcm
 
 from chipfire.certify import (CERTIFIED_GENERAL, INCONCLUSIVE, NOT_GENERAL,
-                              ChainSpec, _two_loops, banana_strands,
-                              bn_general_marked,
+                              _mark_case, _same_strand_twists, _two_loops,
+                              banana_strands, bn_general_marked,
                               bn_general_unmarked, chain_certify,
                               classify_banana, classify_genus2,
                               divisor_census, rho, theta_nonsubmodular_set)
@@ -14,9 +14,8 @@ from chipfire.divisors import (Divisor, _from_vec, _reduced_key, _vec,
                                enumerate_jacobian, rank)
 from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
                              WrongShapeError)
-from chipfire.graphs import (MarkedGraph, build_banana, build_cycle,
-                             build_general, build_theta, chain_glue,
-                             vertex_glue)
+from chipfire.graphs import (Graph, MarkedGraph, build_banana, build_cycle,
+                             build_theta, chain_glue, vertex_glue)
 from chipfire.perms import demazure, embed
 from chipfire.transmission import (delta, kgt_check, torsion_order,
                                    transmission_permutation)
@@ -58,7 +57,7 @@ def test_census_hyperelliptic_banana():
 
 
 def test_census_genus_zero_path():
-    g = build_general(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     entries = divisor_census(g)
     assert entries[0].d == 0 and entries[0].r == 0
     assert bn_general_unmarked(g).verdict == CERTIFIED_GENERAL
@@ -131,7 +130,7 @@ def test_theta_nonsubmodular_wrong_shape():
 
 
 def _graph_from(edges):
-    return build_general({x for e in edges for x in e}, edges)
+    return Graph({x for e in edges for x in e}, edges)
 
 
 def test_banana_strands_of_graph_specs():
@@ -231,9 +230,9 @@ def test_classify_genus2_wrong_genus():
 
 
 def test_classify_genus2_rejects_bridges():
-    g = build_general(["a", "b", "m", "c", "d"],
-                      [("a", "b"), ("a", "b"), ("b", "m"), ("m", "c"),
-                       ("c", "d"), ("c", "d")])
+    g = Graph(["a", "b", "m", "c", "d"],
+              [("a", "b"), ("a", "b"), ("b", "m"), ("m", "c"),
+               ("c", "d"), ("c", "d")])
     with pytest.raises(WrongShapeError):
         classify_genus2(MarkedGraph(g, "a", "d"))
 
@@ -264,6 +263,27 @@ def test_classify_banana_nonsubmodular_witness():
     cert = classify_banana(mg)
     assert cert.verdict == "NON_SUBMODULAR"
     assert delta(mg, cert.evidence["witness"]) < 0
+
+
+def test_same_strand_interval_formula_has_negative_candidate():
+    # classify_banana's same-strand verdict comes from the interval formula:
+    # on every same-strand marking of the genus-3 and genus-4 bananas with
+    # strands of length at most 4, one of its candidates is negative, so the
+    # full-sweep fallback is never needed there
+    checked = 0
+    for genus in (3, 4):
+        for lengths in itertools.combinations_with_replacement(range(1, 5), genus + 1):
+            g = build_banana(list(lengths))
+            strands = banana_strands(g)
+            for u, v in itertools.permutations(g.vertices, 2):
+                case, (alpha, i), (_, j) = _mark_case(strands, u, v)
+                if case != "same-strand":
+                    continue
+                mg = MarkedGraph(g, u, v)
+                assert any(delta(mg, d) < 0
+                           for d in _same_strand_twists(strands[alpha], i, j)), (lengths, u, v)
+                checked += 1
+    assert checked == 2100
 
 
 def test_classify_banana_one_off():
@@ -385,8 +405,7 @@ def test_chain_certified_implies_census_general():
 
 
 def test_chain_spec_container():
-    spec = ChainSpec(tuple(example_110_components()))
-    assert chain_certify(spec).verdict == CERTIFIED_GENERAL
+    assert chain_certify(tuple(example_110_components())).verdict == CERTIFIED_GENERAL
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 
 from chipfire.divisors import (_MAX_FIRING_ROUNDS, Divisor, _from_vec, _reduce_vec,
                                _resolve_rds, _vec, canonical_divisor, dhar_reduce, enumerate_jacobian,
-                               is_reduced, linear_equivalent, rank, support_complex)
+                               is_reduced, linear_equivalent, rank)
 from chipfire.errors import AlgorithmError, EnumerationCapError, InvalidGraphError
-from chipfire.graphs import (Graph, build_banana, build_cycle, build_general,
-                             build_theta, jacobian_order)
+from chipfire.graphs import Graph, build_banana, build_cycle, build_theta, jacobian_order
 from chipfire.specfile import parse_spec
 
 from conftest import definitional_rank, full_rank, random_connected_multigraph, random_divisor
@@ -348,15 +347,8 @@ def test_canonical_divisor_shapes():
     cyc = build_cycle(3, 2).graph
     assert canonical_divisor(cyc) == Divisor()
 
-    path = build_general(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert canonical_divisor(path) == Divisor({"a": -1, "c": -1})
-
-
-def test_support_complex_examples():
-    b = build_banana([2, 3, 4])
-    assert support_complex(b, Divisor({"s0.1": 1, "s1.2": 1})) == {"s0.1", "s1.2"}
-    assert support_complex(b, Divisor()) == set()
-    assert support_complex(b, canonical_divisor(b)) == set(b.vertices)
 
 
 def test_linear_equivalence_strand_shift():
@@ -416,8 +408,8 @@ def test_enumerate_jacobian_matches_closure(rng):
     names = "abcde"
     banana = build_banana([3, 2, 2, 1])
     graphs = [Graph(["a"], []),
-              build_general(names, [(a, b) for a, b in zip(names, names[1:])]),
-              build_general(names, itertools.combinations(names, 2)),
+              Graph(names, [(a, b) for a, b in zip(names, names[1:])]),
+              Graph(names, itertools.combinations(names, 2)),
               Graph(banana.vertices, banana.edges)]
     graphs += [random_connected_multigraph(rng, max_vertices=7, max_extra=5) for _ in range(40)]
     assert any(m > 1 for g in graphs for m in g.edges.values())
@@ -445,7 +437,7 @@ def test_enumeration_cap_env(monkeypatch):
 
 
 def test_genus_zero_ranks():
-    path = build_general(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     for d in (Divisor({"a": 2}), Divisor({"c": 1, "a": 1}), Divisor({"b": 3})):
         assert rank(path, d) == d.degree
     assert rank(path, Divisor({"a": -1})) == -1

@@ -3,8 +3,8 @@ import pytest
 from chipfire.divisors import Divisor, rank
 from chipfire.errors import InvalidGraphError
 from chipfire.graphs import (BananaSpec, Graph, MarkedGraph, build_banana, build_cycle,
-                             build_general, build_theta, chain_glue,
-                             contract_bridges, jacobian_order, vertex_glue)
+                             build_theta, chain_glue, contract_bridges, jacobian_order,
+                             vertex_glue)
 
 from conftest import random_connected_multigraph, spanning_trees_brute
 
@@ -56,11 +56,11 @@ def test_banana_vertex_naming():
 
 
 def test_build_general_examples():
-    g = build_general(["a", "b"], [("a", "b"), ("a", "b")])
+    g = Graph(["a", "b"], [("a", "b"), ("a", "b")])
     assert g.genus == 1
-    path = build_general(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert path.genus == 0
-    two_tri = build_general(
+    two_tri = Graph(
         ["a", "b", "c", "d", "e"],
         [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"), ("e", "c")])
     assert two_tri.genus == 2
@@ -68,11 +68,11 @@ def test_build_general_examples():
 
 def test_build_general_errors():
     with pytest.raises(InvalidGraphError):
-        build_general(["a", "b"], [("a", "a")])
+        Graph(["a", "b"], [("a", "a")])
     with pytest.raises(InvalidGraphError):
-        build_general(["a", "b", "c"], [("a", "b")])  # disconnected
+        Graph(["a", "b", "c"], [("a", "b")])  # disconnected
     with pytest.raises(InvalidGraphError):
-        build_general(["a"], [("a", "x")])
+        Graph(["a"], [("a", "x")])
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, "2"])
@@ -121,7 +121,7 @@ def test_glue_genus_additive_random(rng):
 
 
 def test_contract_bridges_two_cycles():
-    g = build_general(
+    g = Graph(
         ["a", "b", "c", "p", "d", "e", "f"],
         [("a", "b"), ("b", "c"), ("c", "a"), ("c", "p"), ("p", "d"),
          ("d", "e"), ("e", "f"), ("f", "d")])
@@ -139,9 +139,9 @@ def test_contract_bridges_identity_on_bridgeless():
 
 
 def test_contract_bridges_marks_map():
-    g = build_general(["a", "b", "x", "c", "d"],
-                      [("a", "b"), ("a", "b"), ("b", "x"), ("x", "c"),
-                       ("c", "d"), ("c", "d")])
+    g = Graph(["a", "b", "x", "c", "d"],
+              [("a", "b"), ("a", "b"), ("b", "x"), ("x", "c"),
+               ("c", "d"), ("c", "d")])
     out, vmap = contract_bridges(g)
     assert out.genus == 2
     assert vmap["x"] == vmap["b"] == vmap["c"]
@@ -149,9 +149,9 @@ def test_contract_bridges_marks_map():
 
 def test_contract_bridges_preserves_rank_small():
     # a 4-cycle with a pendant path; ranks agree through the retraction map
-    g = build_general(["a", "b", "c", "d", "t1", "t2"],
-                      [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-                       ("b", "t1"), ("t1", "t2")])
+    g = Graph(["a", "b", "c", "d", "t1", "t2"],
+              [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+               ("b", "t1"), ("t1", "t2")])
     out, vmap = contract_bridges(g)
     for d in (Divisor({"a": 1, "t2": 1}), Divisor({"t2": 3}),
               Divisor({"c": 2, "t1": -1})):

@@ -6,22 +6,21 @@ from chipfire.divisors import (Divisor, canonical_divisor, linear_equivalent,
 from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
                              InvalidGraphError, NonSubmodularError)
 from chipfire.graphs import (Graph, MarkedGraph, build_banana, build_cycle,
-                             build_general, build_theta, jacobian_order,
-                             vertex_glue)
+                             build_theta, jacobian_order, vertex_glue)
 from chipfire.perms import inv_k, sci
 from chipfire.transmission import (all_submodular, delta,
                                    is_submodular_divisor, kgt_check,
                                    non_recurrent, recurrence_witness,
                                    torsion_order, transmission_permutation,
-                                   twist_orbit, weierstrass_partition,
-                                   _class_reps, _rep_divisor, _class_rank)
+                                   weierstrass_partition, _class_reps,
+                                   _rep_divisor, _class_rank, _twist_divisor)
 
 from conftest import full_rank, random_connected_multigraph
 
 
 def two_triangles():
     """Chain of two loops of length 3 sharing the vertex w."""
-    return build_general(
+    return Graph(
         ["w", "a1", "a2", "b1", "b2"],
         [("w", "a1"), ("a1", "a2"), ("a2", "w"),
          ("w", "b1"), ("b1", "b2"), ("b2", "w")])
@@ -311,22 +310,6 @@ def test_tau_modulus_is_torsion(rng):
 
 
 # ---------------------------------------------------------------------------
-# twist orbits
-
-
-def test_twist_orbit_shape():
-    mg = MarkedGraph(build_theta(4, 1, 4), "s0.1", "s2.1")
-    d = Divisor({"s0.2": 1})
-    orb = twist_orbit(mg, d, 2)
-    assert len(orb.representatives) == torsion_order(mg)
-    du, dv = Divisor.at(mg.u), Divisor.at(mg.v)
-    for i, rep in enumerate(orb.representatives):
-        assert rep.degree == 2
-        if i:
-            assert rep == orb.representatives[i - 1] + du - dv
-
-
-# ---------------------------------------------------------------------------
 # k-general transmission
 
 
@@ -594,14 +577,18 @@ def test_genus2_inversion_count_formula():
         g = mg.graph
         kdiv = canonical_divisor(g)
         marks = Divisor.at(mg.u) + Divisor.at(mg.v)
+        k = torsion_order(mg)
+
+        def twists(d, degree):
+            """The k twist classes of d in the given degree, walked by u - v."""
+            return [_twist_divisor(mg, d, degree - d.degree + n, n) for n in range(k)]
+
         for rep in _class_reps(g):
             for dd in (0, 1, 2, 3):
                 d = _rep_divisor(g, rep) + dd * Divisor.at(g.base_vertex)
                 tau = transmission_permutation(mg, d)
-                eff = sum(1 for e in twist_orbit(mg, d, 1).representatives
-                          if rank(g, e) >= 0)
-                zero_hit = any(linear_equivalent(g, e, Divisor())
-                               for e in twist_orbit(mg, d, 0).representatives)
+                eff = sum(1 for e in twists(d, 1) if rank(g, e) >= 0)
+                zero_hit = any(linear_equivalent(g, e, Divisor()) for e in twists(d, 0))
                 corr = 1 if zero_hit and linear_equivalent(g, marks, kdiv) else 0
                 assert inv_k(tau) == eff + corr
 
