@@ -102,7 +102,7 @@ def _divisor_from_args(args, doc: SpecDocument, g: Graph) -> Divisor:
             raw = " ".join(
                 line.split("#", 1)[0] for line in _read_file(raw[1:]).splitlines())
         return divisor_on(g, parse_divisor_tokens(raw.split()))
-    return doc.build_divisor(g)
+    return doc.divisor
 
 
 def _divisor_str(d: Divisor) -> str:
@@ -306,7 +306,7 @@ def _witness_claim(path: str, resolve) -> tuple | None:
 
 
 def _cmd_verify_witness(args, doc, out):
-    if doc.kind == "chain":
+    if doc.graph is None:
         raise ChipfireError("chain certificates carry no refutation witness")
     original = doc.build_graph()
     graph = _strip_fast_paths(original)

@@ -17,7 +17,7 @@ are addressed as ``s<strand>.<offset>`` with ``L``/``R`` hub aliases.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .divisors import Divisor
 from .errors import InvalidGraphError, SpecParseError
@@ -27,41 +27,21 @@ _FAMILY_KINDS = ("banana", "theta", "cycle")
 
 
 @dataclass(frozen=True)
-class ComponentSpec:
-    kind: str
-    lengths: tuple[int, ...]
-    mark_u: str | None
-    mark_v: str | None
-
-    def build(self) -> MarkedGraph:
-        g = build_banana(self.lengths)
-        u = self.mark_u if self.mark_u is not None else "L"
-        v = self.mark_v if self.mark_v is not None else "R"
-        return MarkedGraph(g, u, v)
-
-
-@dataclass(frozen=True)
 class SpecDocument:
-    kind: str
-    lengths: tuple[int, ...] = ()
-    vertices: tuple[str, ...] = ()
-    edge_list: tuple[tuple[str, str], ...] = ()
-    components: tuple[ComponentSpec, ...] = ()
+    """What a spec file describes, built once at parse time: the graph with its
+    marks as written and its resolved divisor, or, with ``graph`` None, the
+    marked components of a chain."""
+
+    graph: Graph | None
+    chain: tuple[MarkedGraph, ...] = ()
     mark_u: str | None = None
     mark_v: str | None = None
-    divisor_tokens: tuple[tuple[str, int], ...] = ()
-    # the graph, or the chain's components, built once on first use
-    _built: Graph | tuple[MarkedGraph, ...] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    divisor: Divisor = Divisor()
 
     def build_graph(self) -> Graph:
-        if self.kind == "chain":
+        if self.graph is None:
             raise SpecParseError("chain files describe components, not a single graph")
-        if self._built is None:
-            g = (Graph(self.vertices, list(self.edge_list)) if self.kind == "graph"
-                 else build_banana(self.lengths))
-            object.__setattr__(self, "_built", g)
-        return self._built
+        return self.graph
 
     def build_marked(self) -> MarkedGraph:
         if self.mark_u is None or self.mark_v is None:
@@ -69,38 +49,26 @@ class SpecDocument:
         return MarkedGraph(self.build_graph(), self.mark_u, self.mark_v)
 
     def build_chain(self) -> list[MarkedGraph]:
-        if self.kind != "chain":
+        if self.graph is not None:
             raise SpecParseError("not a chain file")
-        if self._built is None:
-            object.__setattr__(self, "_built", tuple(c.build() for c in self.components))
-        return list(self._built)
-
-    def build_divisor(self, g: Graph) -> Divisor:
-        return divisor_on(g, self.divisor_tokens)
+        return list(self.chain)
 
     def canonical_text(self) -> str:
-        lines: list[str] = []
-        if self.kind == "graph":
-            lines.append("graph")
-            lines.extend(f"vertex {v}" for v in self.vertices)
-            lines.extend(f"edge {a} {b}" for a, b in self.edge_list)
-        elif self.kind == "chain":
-            lines.append("chain")
-            for comp in self.components:
-                lines.append(f"component {comp.kind} " + " ".join(map(str, comp.lengths)))
-                if comp.mark_u is not None:
-                    lines.append(f"mark u {comp.mark_u}")
-                if comp.mark_v is not None:
-                    lines.append(f"mark v {comp.mark_v}")
+        g = self.graph
+        if g is None:
+            lines = ["chain"]
+            for mg in self.chain:
+                lengths = " ".join(map(str, mg.graph.banana.lengths))
+                lines += [f"component banana {lengths}", f"mark u {mg.u}", f"mark v {mg.v}"]
+        elif g.banana is not None:
+            lines = ["banana " + " ".join(map(str, g.banana.lengths))]
         else:
-            lines.append(f"{self.kind} " + " ".join(map(str, self.lengths)))
-        if self.kind != "chain":
-            if self.mark_u is not None:
-                lines.append(f"mark u {self.mark_u}")
-            if self.mark_v is not None:
-                lines.append(f"mark v {self.mark_v}")
-        if self.divisor_tokens:
-            lines.append("divisor " + " ".join(f"{v}:{c}" for v, c in self.divisor_tokens))
+            lines = ["graph", *(f"vertex {v}" for v in g.vertices)]
+            lines += [f"edge {a} {b}" for (a, b), m in g.edges.items() for _ in range(m)]
+        lines += [f"mark {m} {name}" for m, name in (("u", self.mark_u), ("v", self.mark_v))
+                  if name is not None]
+        if self.divisor.coeffs:
+            lines.append("divisor " + " ".join(f"{v}:{c}" for v, c in self.divisor.items()))
         return "\n".join(lines) + "\n"
 
 
@@ -183,8 +151,7 @@ def parse_spec(text: str) -> SpecDocument:
             ckind = rest[0]
             if ckind not in _FAMILY_KINDS:
                 raise SpecParseError(f"chain components must be one of {_FAMILY_KINDS}", lineno)
-            components.append({"kind": ckind,
-                               "lengths": _lengths(ckind, rest[1:], lineno),
+            components.append({"lengths": _lengths(ckind, rest[1:], lineno),
                                "u": None, "v": None})
         elif head == "mark":
             if len(rest) != 2 or rest[0] not in ("u", "v"):
@@ -208,32 +175,19 @@ def parse_spec(text: str) -> SpecDocument:
 
     if kind is None:
         raise SpecParseError("empty spec file")
-    doc = SpecDocument(
-        kind=kind,
-        lengths=lengths,
-        vertices=tuple(vertices),
-        edge_list=tuple(edges),
-        components=tuple(ComponentSpec(c["kind"], c["lengths"], c["u"], c["v"])
-                         for c in components),
-        mark_u=marks.get("u"),
-        mark_v=marks.get("v"),
-        divisor_tokens=tuple(divisor_tokens),
-    )
-    _validate(doc)
-    return doc
-
-
-def _validate(doc: SpecDocument) -> None:
-    """Build the graph and resolve every referenced vertex, so errors surface
-    at parse time; the commands reuse the graph built here."""
+    # build the graph and resolve every referenced vertex, so errors surface
+    # at parse time; the commands run on what is built here
     try:
-        if doc.kind == "chain":
-            doc.build_chain()
-        else:
-            g = doc.build_graph()
-            for name in (doc.mark_u, doc.mark_v):
-                if name is not None:
-                    g.resolve(name)
-            doc.build_divisor(g)
+        if kind == "chain":
+            return SpecDocument(None, tuple(
+                MarkedGraph(build_banana(c["lengths"]), c["u"] or "L", c["v"] or "R")
+                for c in components))
+        g = Graph(vertices, edges) if kind == "graph" else build_banana(lengths)
+        mark_u, mark_v = marks.get("u"), marks.get("v")
+        for name in (mark_u, mark_v):
+            if name is not None:
+                g.resolve(name)
+        return SpecDocument(g, mark_u=mark_u, mark_v=mark_v,
+                            divisor=divisor_on(g, divisor_tokens))
     except InvalidGraphError as err:
         raise SpecParseError(str(err)) from None

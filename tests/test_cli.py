@@ -85,7 +85,7 @@ def test_parse_fig6():
     doc = parse_spec(FIG6_TEXT)
     g = doc.build_graph()
     assert g.genus == 9
-    d = doc.build_divisor(g)
+    d = doc.divisor
     assert d.degree == 9 and d["s0.5"] == 9
 
 
@@ -94,16 +94,20 @@ def test_parse_general_graph():
                      "mark u a\nmark v b\ndivisor a:2 b:-1\n")
     mg = doc.build_marked()
     assert mg.graph.genus == 1
-    d = doc.build_divisor(mg.graph)
-    assert d.degree == 1
+    assert doc.divisor.degree == 1
 
 
 def test_parse_round_trip_canonical():
-    for text in (FIG6_TEXT, THETA414_TEXT, CHAIN110_TEXT):
-        doc = parse_spec(text)
+    inputs = sorted((Path(__file__).parent / "golden" / "inputs").iterdir())
+    assert inputs
+    for path in inputs:
+        doc = parse_spec(path.read_text())
         canon = doc.canonical_text()
-        assert parse_spec(canon) == doc
-        assert parse_spec(canon).canonical_text() == canon
+        assert parse_spec(canon) == doc, path.name
+        assert parse_spec(canon).canonical_text() == canon, path.name
+    # a chain component with no mark lines is marked at its hubs
+    (mg,) = parse_spec("chain\ncomponent theta 2 1 1\n").build_chain()
+    assert (mg.u, mg.v) == ("s0.0", "s0.2")
 
 
 def test_spec_graph_built_once(files, monkeypatch, capsys):
@@ -119,8 +123,7 @@ def test_spec_graph_built_once(files, monkeypatch, capsys):
     assert run_command(["rank", files["fig6.graph"], "--divisor", "s0.5:9 L:1 L:-1"]) == 0
     assert len(built) == 1
     doc = parse_spec(CHAIN110_TEXT)
-    doc.build_chain()
-    assert len(built) == 1 + len(doc.components)
+    assert len(built) == 1 + len(doc.chain)
 
 
 def test_parse_errors_carry_line_numbers():

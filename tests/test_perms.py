@@ -95,6 +95,7 @@ def test_inv_matches_call_scan_with_shifts(rng):
             window = tuple(r + k * rng.randint(-3, 3) for r in rng.sample(range(k), k))
             p = EafPerm(k, window)
             assert inv_k(p) == _call_scan_inv_k(p), p
+            assert p.shift * k == sum(p.window) - k * (k - 1) // 2
 
 
 def test_sci_examples():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire.errors import SpecParseError
-from chipfire.graphs import build_banana
-from chipfire.specfile import ComponentSpec, SpecDocument, parse_spec
+from chipfire.graphs import Graph, MarkedGraph, build_banana
+from chipfire.specfile import SpecDocument, divisor_on, parse_spec
 
 FAMILY_ARITY = {"banana": (2, 4), "theta": (3, 3), "cycle": (2, 2)}
 
@@ -53,22 +53,21 @@ def documents(draw):
     if kind == "chain":
         comps = []
         for _ in range(draw(st.integers(1, 3))):
-            ckind = draw(st.sampled_from(list(FAMILY_ARITY)))
-            lengths, vnames = draw(family(ckind))
-            comps.append(ComponentSpec(ckind, lengths, draw(marks(vnames)),
-                                       draw(marks(vnames))))
-        return SpecDocument(kind="chain", components=tuple(comps))
+            lengths, vnames = draw(family(draw(st.sampled_from(list(FAMILY_ARITY)))))
+            comps.append(MarkedGraph(build_banana(lengths), draw(marks(vnames)) or "L",
+                                     draw(marks(vnames)) or "R"))
+        return SpecDocument(None, tuple(comps))
     if kind == "graph":
         vertices, edges = draw(plain_graph())
-        fields = {"vertices": vertices, "edge_list": edges}
+        g = Graph(vertices, edges)
         vnames = vertices
     else:
         lengths, vnames = draw(family(kind))
-        fields = {"lengths": lengths}
+        g = build_banana(lengths)
     tokens = draw(st.lists(st.tuples(st.sampled_from(vnames), st.integers(-20, 20)),
                            max_size=4))
-    return SpecDocument(kind=kind, mark_u=draw(marks(vnames)), mark_v=draw(marks(vnames)),
-                        divisor_tokens=tuple(tokens), **fields)
+    return SpecDocument(g, mark_u=draw(marks(vnames)), mark_v=draw(marks(vnames)),
+                        divisor=divisor_on(g, tokens))
 
 
 @settings(max_examples=150, deadline=None)
