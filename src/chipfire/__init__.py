@@ -6,8 +6,7 @@ certificates, and Brill-Noether generality certification, all in exact integer
 arithmetic.
 """
 
-from .banana import (BananaTuple, banana_rank, divisor_to_tuple,
-                     inversion_lower_bound, predicted_tau, reduce_tuple)
+from .banana import inversion_lower_bound, predicted_tau
 from .certify import (CensusEntry, Certificate, banana_strands, bn_general_marked,
                       bn_general_unmarked, chain_certify, classify_banana,
                       classify_genus2, divisor_census, rho, theta_nonsubmodular_set)

@@ -22,7 +22,7 @@ Rank needs less than the reduced tuple.  At the least m the nonzero
 residues are the strand chips of the base-reduced divisor and Q + W(m) is
 its count of right-hub chips, so ``_entries_profile`` reads this
 (strand, right-hub) profile straight off the shifted entries, and the rank
-at any degree is ``banana_rank`` arithmetic on it.
+at any degree is ``_profile_ranks`` arithmetic on it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ BOTH_OFF = "both_off"
 BOTH_OFF_MIN = "both_off_min"
 
 
+# Tests use is_reduced as the reducedness oracle, and bench/tracer.py rebinds it.
 @dataclass(frozen=True)
 class BananaTuple:
     """Coset representative: entries a_alpha of a degree-0 class."""
@@ -160,11 +161,6 @@ def _entries_order(lengths: tuple[int, ...], entries) -> int:
     return lcm(*(num * n // gcd(num * n, s - a * num) for a, n in zip(entries, lengths)))
 
 
-def reduce_tuple(t: BananaTuple) -> BananaTuple:
-    """Unique reduced representative of the same coset; fixed point on reduced input."""
-    return BananaTuple(t.spec, _reduce_entries(t.spec.lengths, t.entries))
-
-
 def _reduced_tuples(lengths: tuple[int, ...]) -> Iterator[tuple]:
     """Reduced banana tuples in lexicographic order.  A full entry may only
     precede the first zero, so each zero-free prefix is followed by a 0 and
@@ -181,29 +177,12 @@ def _reduced_tuples(lengths: tuple[int, ...]) -> Iterator[tuple]:
             stack.extend(prefix + (a,) for a in range(lengths[i], 0, -1))
 
 
-def divisor_to_tuple(spec: BananaSpec, d: Divisor) -> BananaTuple:
-    """Reduced tuple of [d - deg(d) * L]."""
-    return BananaTuple(spec, _reduce_entries(spec.lengths, _raw_entries(spec, d)))
-
-
 def _key_divisor(spec: BananaSpec, key) -> Divisor:
     """Degree-0 base-reduced divisor of the class with reduced tuple key: one
     right-hub chip per full entry, one chip at offset a of its strand per
     other nonzero entry, and minus their count on the left hub."""
     chips = [(spec.vertex_id(alpha, a), 1) for alpha, a in enumerate(key) if a]
     return Divisor([(spec.left, -len(chips))] + chips)
-
-
-def banana_rank(a: int, b: int, e: int, g: int) -> int:
-    """Rank of a base-reduced banana divisor with a/b hub chips and e strand chips."""
-    return _profile_ranks(g, (e, b), range(a + b + e, a + b + e + 1))[0]
-
-
-def rank_of_tuple(t: BananaTuple, degree: int) -> int:
-    if not t.is_reduced():
-        raise WrongShapeError("tuple must be reduced first")
-    profile = _reduced_profile(t.spec.lengths, t.entries)
-    return _profile_ranks(t.spec.genus, profile, range(degree, degree + 1))[0]
 
 
 def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
@@ -214,6 +193,7 @@ def _raw_entries(spec: BananaSpec, d: Divisor) -> list[int]:
     return raw
 
 
+# No module calls it; bench/tracer.py rebinds it.
 def rank_entries(spec: BananaSpec, raw_entries, degree: int) -> int:
     """Rank of the class with unreduced entry vector raw_entries at a degree."""
     return _profile_ranks(spec.genus, _entries_profile(spec.lengths, raw_entries),

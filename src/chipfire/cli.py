@@ -333,15 +333,17 @@ def _cmd_verify_witness(args, doc, out):
         r = rank(graph, witness)
         bad = _certify.rho(genus, *rest)
         out.say(f"recomputed rank {r} >= {rest[0]}, rho = {bad}")
-        ok = r >= rest[0] and bad < 0
+        ok = r >= rest[0] and bad < 0 and witness.degree == rest[1]
     else:
+        # a recurrence is two steps 0 < n1 < n2 < k, k the order of [u - v];
+        # steps outside that range are refused before anything is ranked
+        steps = rest[0]
+        ok = len(steps) == 2 and 0 < steps[0] < steps[1] < _tr.torsion_order(mg)
         d0 = Divisor.at(mg.u) - Divisor.at(mg.v)
-        hits = []
-        for n in rest[0]:
+        for n in steps if ok else ():
             r = rank(graph, n * d0 + Divisor.at(witness))
-            hits.append(r >= 0)
+            ok = ok and r >= 0
             out.say(f"recomputed rank({n}(u-v) + {witness}) = {r}")
-        ok = bool(hits) and all(hits)
     out.result = {"valid": bool(ok)}
     out.say("witness valid" if ok else "witness INVALID")
     return EXIT_PASS if ok else EXIT_FAIL

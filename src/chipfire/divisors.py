@@ -71,9 +71,6 @@ class Divisor:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 
-    def support(self) -> list[str]:
-        return sorted(self.coeffs)
-
     def items(self):
         return sorted(self.coeffs.items())
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 import chipfire.banana as bn
 from chipfire.banana import (BOTH_OFF, BOTH_OFF_MIN, MULTIVALENT_PAIR, ONE_OFF,
                              BananaTuple, _entries_profile, _key_divisor,
-                             _profile_ranks, _reduce_entries, _reduced_profile,
-                             _reduced_tuples, banana_rank,
-                             divisor_to_tuple, inversion_lower_bound,
-                             predicted_tau, rank_of_tuple, reduce_tuple)
+                             _profile_ranks, _raw_entries, _reduce_entries,
+                             _reduced_profile, _reduced_tuples,
+                             inversion_lower_bound, predicted_tau)
 from chipfire.divisors import Divisor, dhar_reduce, linear_equivalent, rank
 from chipfire.errors import AlgorithmError, InvalidGraphError, WrongShapeError
 from chipfire.graphs import BananaSpec, MarkedGraph, build_banana
@@ -21,8 +20,21 @@ from chipfire.transmission import (_class_rank, torsion_order,
 from conftest import random_divisor
 
 
-def _tuple_class_divisor(g, t, degree):
-    return _key_divisor(g.banana, t.entries) + degree * Divisor.at(g.banana.left)
+def _tuple_class_divisor(g, key, degree):
+    return _key_divisor(g.banana, key) + degree * Divisor.at(g.banana.left)
+
+
+def _tuple_rank(spec, reduced, degree):
+    """Test oracle: the rank of a reduced tuple at one degree, read off the
+    tuple's own (strand, right-hub) profile."""
+    assert BananaTuple(spec, reduced).is_reduced()
+    return _profile_ranks(spec.genus, _reduced_profile(spec.lengths, reduced),
+                          range(degree, degree + 1))[0]
+
+
+def _banana_rank(a, b, e, g):
+    """Rank of a base-reduced banana divisor with a/b hub chips and e strand chips."""
+    return _profile_ranks(g, (e, b), range(a + b + e, a + b + e + 1))[0]
 
 
 def _shape_divisor(spec, entries, degree):
@@ -58,11 +70,8 @@ def test_key_divisor_matches_shape_oracle_and_is_reduced():
 
 
 def test_reduce_tuple_identity_cases():
-    spec = build_banana([3, 4, 5]).banana
-    zero = BananaTuple(spec, (0, 0, 0))
-    assert reduce_tuple(zero).entries == (0, 0, 0)
-    ones = BananaTuple(spec, (1, 1, 1))
-    assert reduce_tuple(ones).entries == (0, 0, 0)  # a single hub firing
+    assert _reduce_entries((3, 4, 5), (0, 0, 0)) == (0, 0, 0)
+    assert _reduce_entries((3, 4, 5), (1, 1, 1)) == (0, 0, 0)  # a single hub firing
 
 
 def test_reduce_tuple_full_entry_coset():
@@ -70,10 +79,10 @@ def test_reduce_tuple_full_entry_coset():
     # full entries left of zeros, hence (3, 0, 0)
     g = build_banana([3, 4, 5])
     spec = g.banana
-    a = reduce_tuple(BananaTuple(spec, (3, 0, 0)))
-    b = reduce_tuple(BananaTuple(spec, (0, 4, 0)))
-    assert a.entries == b.entries == (3, 0, 0)
-    assert a.is_reduced()
+    a = _reduce_entries(spec.lengths, (3, 0, 0))
+    b = _reduce_entries(spec.lengths, (0, 4, 0))
+    assert a == b == (3, 0, 0)
+    assert BananaTuple(spec, a).is_reduced()
     da = _tuple_class_divisor(g, a, 0)
     db = Divisor({"s1.1": 4, "s0.0": -4})  # 4 * [v_{1,1} - L]
     assert linear_equivalent(g, da, db)
@@ -85,8 +94,8 @@ def test_reduce_tuple_matches_burning_oracle(rng):
         spec = g.banana
         for _ in range(30):
             d = random_divisor(rng, g, lo=-3, hi=3)
-            t = divisor_to_tuple(spec, d)
-            assert t.is_reduced()
+            t = _reduce_entries(spec.lengths, _raw_entries(spec, d))
+            assert BananaTuple(spec, t).is_reduced()
             rebuilt = _tuple_class_divisor(g, t, d.degree)
             assert linear_equivalent(g, d, rebuilt)
 
@@ -97,8 +106,8 @@ def test_tuple_equivalence_criterion(rng):
     for _ in range(40):
         d1 = random_divisor(rng, g, lo=-2, hi=2)
         d2 = random_divisor(rng, g, lo=-2, hi=2)
-        same_tuple = (divisor_to_tuple(spec, d1).entries
-                      == divisor_to_tuple(spec, d2).entries
+        same_tuple = (_reduce_entries(spec.lengths, _raw_entries(spec, d1))
+                      == _reduce_entries(spec.lengths, _raw_entries(spec, d2))
                       and d1.degree == d2.degree)
         assert same_tuple == linear_equivalent(g, d1, d2)
 
@@ -199,7 +208,7 @@ def test_rank_kernel_matches_reduced_tuple(case):
     degrees = range(degree - 3, degree + 2 * genus + 3)
     spec = BananaSpec(lengths)
     assert _profile_ranks(genus, profile, degrees) == [
-        rank_of_tuple(BananaTuple(spec, reduced), x) for x in degrees]
+        _tuple_rank(spec, reduced, x) for x in degrees]
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,9 +219,9 @@ def test_rank_entries_matches_rank_of_reduced_tuple(case):
     # the reduced tuple
     lengths, entries, degree = case
     spec = BananaSpec(lengths)
-    reduced = BananaTuple(spec, _reduce_entries(lengths, entries))
+    reduced = _reduce_entries(lengths, entries)
     for x in range(degree - 3, degree + 3):
-        assert bn.rank_entries(spec, entries, x) == rank_of_tuple(reduced, x)
+        assert bn.rank_entries(spec, entries, x) == _tuple_rank(spec, reduced, x)
 
 
 def test_no_zero_entry_self_check_raises_on_a_bad_shift(monkeypatch):
@@ -242,21 +251,20 @@ def test_divisor_to_tuple_single_chip():
     for alpha, n in enumerate(spec.lengths):
         for i in range(n + 1):
             d = Divisor({spec.vertex_id(alpha, i): 1, "s0.0": -1})
-            t = divisor_to_tuple(spec, d)
+            t = _reduce_entries(spec.lengths, _raw_entries(spec, d))
             expected = [0, 0, 0]
             if 0 < i:
                 expected[alpha if i < n else 0] = i if i < n else spec.lengths[0]
-            assert reduce_tuple(BananaTuple(spec, tuple(expected))).entries == t.entries
+            assert _reduce_entries(spec.lengths, expected) == t
 
 
 def test_divisor_to_tuple_zero_and_canonical(rng):
     g = build_banana([2, 2, 2])
     spec = g.banana
-    t = divisor_to_tuple(spec, Divisor())
-    assert t.entries == (0, 0, 0)
+    assert _reduce_entries(spec.lengths, _raw_entries(spec, Divisor())) == (0, 0, 0)
     from chipfire.divisors import canonical_divisor
     k = canonical_divisor(g)
-    t = divisor_to_tuple(spec, k)
+    t = _reduce_entries(spec.lengths, _raw_entries(spec, k))
     rebuilt = _tuple_class_divisor(g, t, k.degree)
     assert linear_equivalent(g, k, rebuilt)
 
@@ -265,7 +273,7 @@ def test_key_divisor_shapes():
     spec = build_banana([3, 4, 5]).banana
     assert _key_divisor(spec, (0, 0, 0)) == Divisor()
     assert _reduced_profile(spec.lengths, (0, 0, 0)) == (0, 0)
-    full = reduce_tuple(BananaTuple(spec, (3, 0, 0))).entries
+    full = _reduce_entries(spec.lengths, (3, 0, 0))
     assert _key_divisor(spec, full) == Divisor({"s0.3": 1, "s0.0": -1})
     assert _reduced_profile(spec.lengths, full) == (0, 1)
     mixed = (3, 2, 0)
@@ -273,19 +281,13 @@ def test_key_divisor_shapes():
     assert _reduced_profile(spec.lengths, mixed) == (1, 1)
 
 
-def test_rank_of_tuple_requires_reduced():
-    spec = build_banana([2, 2]).banana
-    with pytest.raises(WrongShapeError):
-        rank_of_tuple(BananaTuple(spec, (5, 0)), 0)
-
-
 def test_banana_rank_values():
-    assert banana_rank(1, 1, 0, 2) == 1
-    assert banana_rank(3, 3, 0, 3) == 3
-    assert banana_rank(3, 1, 2, 3) == 3
-    assert banana_rank(-2, 0, 0, 3) == -1
+    assert _banana_rank(1, 1, 0, 2) == 1
+    assert _banana_rank(3, 3, 0, 3) == 3
+    assert _banana_rank(3, 1, 2, 3) == 3
+    assert _banana_rank(-2, 0, 0, 3) == -1
     with pytest.raises(InvalidGraphError):
-        banana_rank(0, 3, 1, 3)  # b > g - e
+        _banana_rank(0, 3, 1, 3)  # b > g - e
 
 
 def test_banana_rank_example_on_graph():
@@ -298,12 +300,9 @@ def test_banana_rank_example_on_graph():
 def test_banana_rank_matches_descent_small(rng):
     for lengths in [(2, 2, 2), (1, 1, 1, 1), (2, 3, 2)]:
         g = build_banana(list(lengths))
-        spec = g.banana
         for _ in range(25):
             d = random_divisor(rng, g, lo=-2, hi=3)
-            strand, full = _reduced_profile(spec.lengths, divisor_to_tuple(spec, d).entries)
-            left = d.degree - strand - full
-            assert banana_rank(left, full, strand, spec.genus) == rank(g, d)
+            assert _class_rank(g, d) == rank(g, d)
 
 
 FIG6 = [5, 4, 4, 3, 3, 3, 3, 3, 3, 3]

@@ -475,6 +475,32 @@ def test_verify_witness_classify(tmp_path, capsys):
     assert run_command(["verify-witness", str(p), cert]) == 0
 
 
+def test_verify_witness_rejects_a_wrong_degree(tmp_path, capsys):
+    # the witness a:2 has rank 0, but at degree 2: no degree -1 divisor has
+    # rank 0, so a claim at d = -1 is forged
+    p = tmp_path / "tri.graph"
+    p.write_text("graph\nvertex a\nvertex b\nvertex c\n"
+                 "edge a b\nedge a b\nedge b c\nedge b c\nedge a c\n")
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps({"command": "bn", "certificate": {
+        "verdict": "NOT_GENERAL", "evidence": {"d": -1, "r": 0, "witness": {"a": 2}}}}))
+    assert run_command(["verify-witness", str(p), str(cert)]) == 1
+    assert "witness INVALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("steps", [[0, 0], [1, 1], [4, 8], [1, 10 ** 12]])
+def test_verify_witness_rejects_steps_that_are_no_recurrence(files, tmp_path, capsys, steps):
+    # [u - v] has order 4 on theta414, and n(u - v) + v is effective for
+    # every n = 0 or 1 mod 4; a recurrence needs 0 < n1 < n2 < 4, and a step
+    # past the order is refused without ranking it
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps({"command": "classify", "certificate": {
+        "verdict": "NOT_KGT", "evidence": {"witness_vertex": "s2.1",
+                                           "witness_steps": steps}}}))
+    assert run_command(["verify-witness", files["theta414.graph"], str(cert)]) == 1
+    assert "witness INVALID" in capsys.readouterr().out
+
+
 def test_verify_witness_nothing_to_check(files, tmp_path, capsys):
     code, cert = _emit_json(["kgt", files["theta414.graph"]], capsys, tmp_path, "ok.json")
     assert code == 0

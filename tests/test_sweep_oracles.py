@@ -10,8 +10,8 @@ import pytest
 
 import chipfire.banana as bn
 import chipfire.certify as certify
-from chipfire.banana import (BananaTuple, _raw_entries, _reduce_entries,
-                             rank_of_tuple)
+from chipfire.banana import (_profile_ranks, _raw_entries, _reduce_entries,
+                             _reduced_profile)
 from chipfire.certify import (CensusEntry, bn_general_marked, divisor_census,
                               rho)
 from chipfire.divisors import Divisor, _vec, rank
@@ -42,8 +42,9 @@ def _old_raw(g, d):
 def _old_rank_raw(g, raw, degree):
     if g.banana is None:
         return rank(g, raw)
-    reduced = _reduce_entries(g.banana.lengths, raw)
-    return rank_of_tuple(BananaTuple(g.banana, reduced), degree)
+    lengths = g.banana.lengths
+    profile = _reduced_profile(lengths, _reduce_entries(lengths, raw))
+    return _profile_ranks(g.genus, profile, range(degree, degree + 1))[0]
 
 
 def _old_rank(g, d):
