@@ -105,10 +105,6 @@ def _divisor_from_args(args, doc: SpecDocument, g: Graph) -> Divisor:
     return doc.divisor
 
 
-def _divisor_str(d: Divisor) -> str:
-    return " ".join(f"{v}:{c}" for v, c in d.items()) if d.coeffs else "0"
-
-
 def _strip_fast_paths(g: Graph) -> Graph:
     """Rebuild without the banana annotation so every recomputation is generic."""
     return Graph(g.vertices, g.edges)
@@ -139,7 +135,7 @@ def _cmd_reduce(args, doc, out):
                     for names, count in form.firing_certificate],
     }
     out.say(f"base {form.base}")
-    out.say(_divisor_str(form.divisor))
+    out.say(str(form.divisor))
     return EXIT_PASS
 
 
@@ -150,7 +146,7 @@ def _cmd_tau(args, doc, out):
         tau = _tr.transmission_permutation(mg, d)
     except NonSubmodularError as err:
         out.result = {"submodular": False, "witness": err.witness, "delta": err.value}
-        out.say(f"no transmission permutation: delta({_divisor_str(err.witness)}) = {err.value}")
+        out.say(f"no transmission permutation: delta({err.witness}) = {err.value}")
         return EXIT_FAIL
     out.result = {"permutation": tau, "inversions": inv_k(tau),
                   "sign_changing_inversions": sci(tau)}
@@ -179,7 +175,7 @@ def _cmd_submodular(args, doc, out):
     if verdict.ok:
         out.say("submodular")
         return EXIT_PASS
-    out.say(f"not submodular: delta({_divisor_str(verdict.witness)}) = {verdict.value}")
+    out.say(f"not submodular: delta({verdict.witness}) = {verdict.value}")
     return EXIT_FAIL
 
 
@@ -201,10 +197,10 @@ def _cmd_kgt(args, doc, out):
                 f"(max inversions {cert.max_inversions} <= genus {cert.genus})")
         return EXIT_PASS
     if cert.nonsubmodular_witness is not None:
-        out.say(f"FAIL: non-submodular divisor {_divisor_str(cert.nonsubmodular_witness)}")
+        out.say(f"FAIL: non-submodular divisor {cert.nonsubmodular_witness}")
     else:
         out.say(f"FAIL: max inversions {cert.max_inversions} > genus {cert.genus} "
-                f"(witness {_divisor_str(cert.extremal)})")
+                f"(witness {cert.extremal})")
     return EXIT_FAIL
 
 
@@ -220,11 +216,11 @@ def _cmd_bn(args, doc, out):
     if cert.verdict == _certify.NOT_GENERAL:
         ev = cert.evidence
         if "partition" in ev:
-            out.say(f"witness {_divisor_str(ev['witness'])} has partition size "
+            out.say(f"witness {ev['witness']} has partition size "
                     f"{ev['size']} > genus {ev['genus']}")
         else:
             out.say(f"witness (d={ev['d']}, r={ev['r']}) with rho = {ev['rho']}: "
-                    f"{_divisor_str(ev['witness'])}")
+                    f"{ev['witness']}")
         return EXIT_FAIL
     return EXIT_PASS
 
@@ -235,7 +231,7 @@ def _cmd_census(args, doc, out):
     out.result = {"genus": g.genus, "entries": entries}
     out.say(f"genus {g.genus}")
     for e in entries:
-        out.say(f"d={e.d} r={e.r} rho={e.rho} witness={_divisor_str(e.witness)}")
+        out.say(f"d={e.d} r={e.r} rho={e.rho} witness={e.witness}")
     return EXIT_PASS
 
 
@@ -266,12 +262,13 @@ def _cmd_classify(args, doc, out):
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
-def _witness_claim(path: str, resolve) -> tuple | None:
-    """The witness a certificate file claims, decoded before anything is
-    recomputed: (kind, witness, values...), or None when it carries none."""
+def _witness_claim(path: str, g: Graph) -> tuple | None:
+    """The witness a certificate file claims on g, decoded before anything is
+    recomputed: (kind, witness, values...), or None when it carries none.
+    Chip maps decode like --divisor tokens, so aliases of one vertex add up."""
 
     def as_divisor(data) -> Divisor:
-        return Divisor({resolve(k): operator.index(v) for k, v in data.items()})
+        return divisor_on(g, data.items())
 
     try:
         cert = json.loads(_read_file(path))
@@ -289,7 +286,7 @@ def _witness_claim(path: str, resolve) -> tuple | None:
         if command == "bn" and certificate.get("verdict") == _certify.NOT_GENERAL:
             witness = as_divisor(ev["witness"])
             if "partition" in ev:
-                return "partition", witness, resolve(ev["mark"])
+                return "partition", witness, g.resolve(ev["mark"])
             return "rank", witness, operator.index(ev["r"]), operator.index(ev["d"])
         if command == "classify":
             if ev.get("witness"):
@@ -297,7 +294,7 @@ def _witness_claim(path: str, resolve) -> tuple | None:
             if ev.get("witness_divisor"):
                 return "inversions", as_divisor(ev["witness_divisor"])
             if ev.get("witness_steps"):
-                return ("steps", resolve(ev["witness_vertex"]),
+                return ("steps", g.resolve(ev["witness_vertex"]),
                         [operator.index(n) for n in ev["witness_steps"]])
         return None
     except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -311,15 +308,16 @@ def _cmd_verify_witness(args, doc, out):
     original = doc.build_graph()
     graph = _strip_fast_paths(original)
     genus = graph.genus
-    claim = _witness_claim(args.certificate, original.resolve)
+    claim = _witness_claim(args.certificate, original)
     if claim is None:
         raise ChipfireError("certificate carries no witness to verify")
     kind, witness, *rest = claim
     if kind in ("delta", "inversions", "steps"):
-        mg = MarkedGraph(graph, original.resolve(doc.mark_u), original.resolve(doc.mark_v))
+        marked = doc.build_marked()
+        mg = MarkedGraph(graph, marked.u, marked.v)
     if kind == "delta":
         val = _tr.delta(mg, witness)
-        out.say(f"recomputed delta({_divisor_str(witness)}) = {val}")
+        out.say(f"recomputed delta({witness}) = {val}")
         ok = val < 0
     elif kind == "inversions":
         inv = inv_k(_tr.transmission_permutation(mg, witness))

@@ -49,16 +49,10 @@ class Divisor:
         return self.coeffs.get(v, 0)
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        data = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            data[v] = data.get(v, 0) + c
-        return Divisor(data)
+        return Divisor([*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        data = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            data[v] = data.get(v, 0) - c
-        return Divisor(data)
+        return Divisor([*self.coeffs.items(), *((v, -c) for v, c in other.coeffs.items())])
 
     def __neg__(self) -> "Divisor":
         return Divisor({v: -c for v, c in self.coeffs.items()})
@@ -80,11 +74,12 @@ class Divisor:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
+    def __str__(self):
+        """The chip list ``v:c ...`` in vertex order, or ``0`` when empty."""
+        return " ".join(f"{v}:{c}" for v, c in self.items()) if self.coeffs else "0"
+
     def __repr__(self):
-        if not self.coeffs:
-            return "Divisor(0)"
-        body = " ".join(f"{v}:{c}" for v, c in self.items())
-        return f"Divisor({body})"
+        return f"Divisor({self})"
 
 
 @dataclass(frozen=True)

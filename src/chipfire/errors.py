@@ -24,7 +24,7 @@ class NonSubmodularError(ChipfireError):
     def __init__(self, witness, value):
         self.witness = witness
         self.value = value
-        super().__init__(f"non-submodular twist (delta={value}): {witness}")
+        super().__init__(f"non-submodular twist (delta={value}): {witness!r}")
 
 
 class EnumerationCapError(ChipfireError):

@@ -146,15 +146,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def _check_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len(_reachable(self, 0)) != len(self.vertices):
             raise InvalidGraphError("graph is not connected")
 
     @property
@@ -307,6 +299,19 @@ def _branch_walks(g: Graph, hub: str) -> list[list[str]]:
     return walks
 
 
+def _reachable(g: Graph, start: int, skip=()) -> set[int]:
+    """Indices reachable from start by a DFS that takes no hop (v, w) in skip."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w, _ in g._adj[v]:
+            if w not in seen and (v, w) not in skip:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _bridges(g: Graph) -> list[tuple[str, str]]:
     """All bridges; a parallel pair is never a bridge."""
     out = []
@@ -316,16 +321,7 @@ def _bridges(g: Graph) -> list[tuple[str, str]]:
         # connectivity of g minus this edge, from a; multiplicity 1 means the
         # (ia, ib) hop can be skipped wholesale
         ia, ib = g.index(a), g.index(b)
-        seen = {ia}
-        stack = [ia]
-        while stack:
-            v = stack.pop()
-            for w, _ in g._adj[v]:
-                if w in seen or (v, w) in ((ia, ib), (ib, ia)):
-                    continue
-                seen.add(w)
-                stack.append(w)
-        if ib not in seen:
+        if ib not in _reachable(g, ia, ((ia, ib), (ib, ia))):
             out.append((a, b))
     return out
 

@@ -68,7 +68,7 @@ class SpecDocument:
         lines += [f"mark {m} {name}" for m, name in (("u", self.mark_u), ("v", self.mark_v))
                   if name is not None]
         if self.divisor.coeffs:
-            lines.append("divisor " + " ".join(f"{v}:{c}" for v, c in self.divisor.items()))
+            lines.append(f"divisor {self.divisor}")
         return "\n".join(lines) + "\n"
 
 
@@ -112,7 +112,7 @@ def parse_spec(text: str) -> SpecDocument:
     lengths: tuple[int, ...] = ()
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    components: list[dict] = []
+    components: list[tuple[tuple[int, ...], dict[str, str]]] = []
     marks: dict[str, str] = {}
     divisor_tokens: list[tuple[str, int]] = []
 
@@ -151,21 +151,16 @@ def parse_spec(text: str) -> SpecDocument:
             ckind = rest[0]
             if ckind not in _FAMILY_KINDS:
                 raise SpecParseError(f"chain components must be one of {_FAMILY_KINDS}", lineno)
-            components.append({"lengths": _lengths(ckind, rest[1:], lineno),
-                               "u": None, "v": None})
+            components.append((_lengths(ckind, rest[1:], lineno), {}))
         elif head == "mark":
             if len(rest) != 2 or rest[0] not in ("u", "v"):
                 raise SpecParseError("mark lines look like 'mark u VTX'", lineno)
-            if kind == "chain":
-                if not components:
-                    raise SpecParseError("mark before any component", lineno)
-                if components[-1][rest[0]] is not None:
-                    raise SpecParseError(f"duplicate mark {rest[0]}", lineno)
-                components[-1][rest[0]] = rest[1]
-            else:
-                if rest[0] in marks:
-                    raise SpecParseError(f"duplicate mark {rest[0]}", lineno)
-                marks[rest[0]] = rest[1]
+            if kind == "chain" and not components:
+                raise SpecParseError("mark before any component", lineno)
+            owner = components[-1][1] if kind == "chain" else marks
+            if rest[0] in owner:
+                raise SpecParseError(f"duplicate mark {rest[0]}", lineno)
+            owner[rest[0]] = rest[1]
         elif head == "divisor":
             if kind == "chain":
                 raise SpecParseError("divisor lines are not supported in chain files", lineno)
@@ -180,8 +175,8 @@ def parse_spec(text: str) -> SpecDocument:
     try:
         if kind == "chain":
             return SpecDocument(None, tuple(
-                MarkedGraph(build_banana(c["lengths"]), c["u"] or "L", c["v"] or "R")
-                for c in components))
+                MarkedGraph(build_banana(lengths), cmarks.get("u", "L"), cmarks.get("v", "R"))
+                for lengths, cmarks in components))
         g = Graph(vertices, edges) if kind == "graph" else build_banana(lengths)
         mark_u, mark_v = marks.get("u"), marks.get("v")
         for name in (mark_u, mark_v):

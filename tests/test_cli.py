@@ -518,3 +518,42 @@ def test_verify_witness_without_witness_is_an_error(files, tmp_path, capsys, spe
     for extra in ([], ["--json"]):
         assert run_command(["verify-witness", files[spec], cert] + extra) == 2
         assert capsys.readouterr() == ("", f"error: {reason}\n")
+
+
+def test_verify_witness_adds_up_aliases_of_one_vertex(tmp_path, capsys):
+    # L and s0.0 name one hub, so the certificate names s0.0:2 s0.2:1, whose
+    # delta is 1: the claimed non-submodular witness is forged
+    p = tmp_path / "b.graph"
+    p.write_text("banana 3 3 2\nmark u s0.0\nmark v s0.1\n")
+    cert = tmp_path / "forged.json"
+    cert.write_text(json.dumps({"command": "submodular", "result": {
+        "witness": {"s0.2": 1, "L": 1, "s0.0": 1}}}))
+    assert run_command(["verify-witness", str(p), str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "recomputed delta(s0.0:2 s0.2:1) = 1" in out
+    assert "witness INVALID" in out
+    assert run_command(["delta", str(p), "--divisor", "s0.0:2 s0.2:1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("spec,vertex", [
+    ("banana 3 3 2\n", "s0.1"),
+    ("graph\nvertex a\nvertex b\nvertex c\n"
+     "edge a b\nedge a b\nedge b c\nedge b c\nedge a c\n", "a")], ids=["banana", "graph"])
+@pytest.mark.parametrize("claim", ["delta", "inversions", "steps"])
+def test_verify_witness_needs_both_marks(tmp_path, capsys, spec, vertex, claim):
+    # claims on the marked graph, checked against a spec with no mark lines
+    p = tmp_path / "nomark.graph"
+    p.write_text(spec)
+    cert = {
+        "delta": {"command": "submodular", "result": {"witness": {vertex: 1}}},
+        "inversions": {"command": "kgt", "certificate": {
+            "verdict": "FAIL", "extremal_divisor": {vertex: 1}}},
+        "steps": {"command": "classify", "certificate": {"evidence": {
+            "witness_vertex": vertex, "witness_steps": [1, 2]}}},
+    }[claim]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_command(["verify-witness", str(p), str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: this command needs both 'mark u' and 'mark v' lines\n")

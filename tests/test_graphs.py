@@ -3,8 +3,8 @@ import pytest
 from chipfire.divisors import Divisor, rank
 from chipfire.errors import InvalidGraphError
 from chipfire.graphs import (BananaSpec, Graph, MarkedGraph, build_banana, build_cycle,
-                             build_theta, chain_glue, contract_bridges, jacobian_order,
-                             vertex_glue)
+                             _bridges, build_theta, chain_glue, contract_bridges,
+                             jacobian_order, vertex_glue)
 
 from conftest import random_connected_multigraph, spanning_trees_brute
 
@@ -118,6 +118,42 @@ def test_glue_genus_additive_random(rng):
                          else (g2.vertices[0], g2.vertices[0]))
         glued = vertex_glue(m1, m2)
         assert glued.graph.genus == g1.genus + g2.genus
+
+
+def _connected_without(g, edge):
+    """Union-find oracle: is g still connected once one copy of edge is gone?"""
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e, m in g.edges.items():
+        if m - (e == edge) > 0:
+            parent[find(e[0])] = find(e[1])
+    return len({find(v) for v in g.vertices}) == 1
+
+
+def test_bridges_match_union_find_oracle(rng):
+    seen_bridges = 0
+    for _ in range(60):
+        g = random_connected_multigraph(rng)
+        # pendant paths hung off random vertices make bridges occur
+        vertices, edges = list(g.vertices), dict(g.edges)
+        for p in range(rng.randint(0, 2)):
+            prev = rng.choice(vertices)
+            for i in range(rng.randint(1, 3)):
+                vertices.append(f"p{p}.{i}")
+                edges[(prev, vertices[-1])] = 1
+                prev = vertices[-1]
+        g = Graph(vertices, edges)
+        expected = [e for e, m in g.edges.items() if not _connected_without(g, e)]
+        found = _bridges(g)
+        assert found == expected
+        assert all(g.edges[e] == 1 for e in found)  # a parallel pair is never a bridge
+        seen_bridges += len(found)
+    assert seen_bridges > 0
 
 
 def test_contract_bridges_two_cycles():
