@@ -265,7 +265,8 @@ def classify_genus2(mg: MarkedGraph) -> Certificate:
     if mg.degenerate:
         raise DegenerateMarksError("marks must be distinct")
     if _bridges(g):
-        raise WrongShapeError("graph has bridges; contract them first")
+        raise WrongShapeError("graph has bridges; contract them first with "
+                              "chipfire.contract_bridges, whose vertex map carries the marks")
     u, v = mg.u, mg.v
 
     strands = banana_strands(g)
@@ -321,8 +322,8 @@ def _classify_theta(mg: MarkedGraph, strands: list[list[str]]) -> Certificate:
         return Certificate("NOT_KGT", "genus2-classification", {
             "case": "same-strand", "reason": "non-submodular",
             "witness": witness, "delta": value})
-    # one-off marks are case 3a with a mark on the left hub, 3b on the right
-    case = "3c" if case == "distinct" else "3a" if min(i, j) == 0 else "3b"
+    # one-off marks are case 3a when u is the hub mark, 3b when v is
+    case = "3c" if case == "distinct" else "3a" if g.valence(u) > 2 else "3b"
     nonrec = recurrence_witness(g, Divisor({u: 1, v: -1}))
     if nonrec is None:
         return Certificate("KGT", "genus2-classification", {

@@ -393,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kgt", help="certify k-general transmission")
     common(p)
     p.add_argument("--exhaustive", action="store_true",
-                   help="keep scanning after a failing orbit")
+                   help="scan past orbits with too many inversions "
+                        "(the first non-submodular twist still ends the scan)")
     p = sub.add_parser("bn", help="Brill-Noether generality certificate")
     common(p)
     p.add_argument("--marked", metavar="VTX", help="certify the once-marked form instead")

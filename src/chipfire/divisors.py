@@ -293,12 +293,12 @@ def _resolve_rds(g: Graph):
 
 
 def rank(g: Graph, d: Divisor | Sequence[int]) -> int:
-    """Baker-Norine rank by descent over a rank-determining set A.
+    """Baker-Norine rank: one Riemann-Roch step, then descent over a set A.
 
     d is a Divisor or its coefficient sequence in vertex-index order (the
-    order of ``g.vertices``).  r(D) >= 0 iff the reduced form has a
-    nonnegative base coefficient, and then r(D) = 1 + min over v in A of
-    r(D - v).  A is the vertex set of a loopless model of g (see
+    order of ``g.vertices``).  When deg D >= g, r(D) = r(K - D) + deg D - g + 1
+    (Riemann-Roch, Baker-Norine, Adv. Math. 2007), so ``_descend`` starts
+    below degree g.  A is the vertex set of a loopless model of g (see
     ``_resolve_rds``), which is rank-determining on the metric graph (Luo,
     "Rank-determining sets of metric graphs", JCTA 2011); graph and metric
     rank agree on loopless graphs (Hladky-Kral-Norine, "Rank of divisors on
@@ -310,37 +310,36 @@ def rank(g: Graph, d: Divisor | Sequence[int]) -> int:
         vec = list(d)
         if len(vec) != len(g.vertices):
             raise ValueError(f"{len(vec)} coefficients for {len(g.vertices)} vertices")
-    if sum(vec) < 0:
-        return -1
+    genus, deg, shift = g.genus, sum(vec), 0
+    if deg >= genus:  # rank K - D, with K = valence - 2 at each vertex
+        shift, deg = deg - genus + 1, 2 * genus - 2 - deg
+        vec = [val - 2 - c for val, c in zip(g._val, vec)]
+    if deg < 0:
+        return shift - 1
     cache = g._rank_caches.setdefault("rds", {})
-    return _descend(g, _reduced_key(g, vec, 0), _resolve_rds(g), cache)
+    return shift + _descend(g, _reduced_key(g, vec, 0), _resolve_rds(g), cache)
 
 
 def _descend(g: Graph, key: tuple[int, ...], rds, cache: dict) -> int:
-    """Rank of the 0-reduced vector key by descent over rds, memoized in cache."""
+    """Rank of the 0-reduced key by descent over rds, one level per chip, memoized."""
     val = cache.get(key)
     if val is not None:
         return val
     if key[0] < 0:
         val = -1
     else:
-        deg = sum(key)
-        genus = g.genus
-        if deg > 2 * genus - 2:
-            val = deg - genus
-        else:
-            best = deg  # above every r(D - v)
-            for v in rds:
-                child = list(key)
-                child[v] -= 1
-                # Taking a chip off the base, or off a vertex that has one,
-                # raises no coefficient, so no set gains a legal firing and
-                # the child is still 0-reduced.
-                child = _reduced_key(g, child, 0) if key[v] == 0 and v != 0 else tuple(child)
-                best = min(best, _descend(g, child, rds, cache))
-                if best == -1:
-                    break
-            val = 1 + best
+        best = sum(key)  # above every r(D - v)
+        for v in rds:
+            child = list(key)
+            child[v] -= 1
+            # Taking a chip off the base, or off a vertex that has one,
+            # raises no coefficient, so no set gains a legal firing and
+            # the child is still 0-reduced.
+            child = _reduced_key(g, child, 0) if key[v] == 0 and v != 0 else tuple(child)
+            best = min(best, _descend(g, child, rds, cache))
+            if best == -1:
+                break
+        val = 1 + best
     cache[key] = val
     return val
 

@@ -364,8 +364,9 @@ def kgt_check(mg: MarkedGraph, exhaustive: bool = False) -> KgtCertificate:
     Walks one representative per twist orbit (inversion counts are constant on
     orbits; that invariance is itself property-tested), computing each
     transmission permutation and its inversion count from the class keys;
-    the orbit keys already reduced are the twist columns' origins.  A FAIL
-    returns as soon as a witness appears unless exhaustive is set.
+    the orbit keys already reduced are the twist columns' origins.  An orbit
+    with more inversions than the genus ends the scan unless exhaustive is
+    set; a non-submodular twist ends it either way.
     """
     if mg.degenerate:
         raise DegenerateMarksError("k-general transmission needs distinct marks")

@@ -391,3 +391,19 @@ def test_both_off_min_bound_below_witness():
     tau = transmission_permutation(MarkedGraph(g, "s0.1", "s1.4"),
                                    Divisor({"s0.5": 3}))
     assert inversion_lower_bound(BOTH_OFF_MIN, lengths) <= inv_k(tau)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: predicted_tau("bogus", (2, 2, 2), 0), "unknown marking case 'bogus'"),
+    (lambda: predicted_tau(ONE_OFF, (1, 2, 2), 0),
+     "one-off marking needs strand 0 of length >= 2"),
+    (lambda: predicted_tau(BOTH_OFF, (2, 1, 2), 0),
+     "both-off marking needs strands 0,1 of length >= 2"),
+    (lambda: inversion_lower_bound("bogus", (2, 2, 2)), "unknown marking case 'bogus'"),
+    (lambda: inversion_lower_bound(ONE_OFF, (1, 2, 2)),
+     "one-off marking needs strand 0 of length >= 2"),
+])
+def test_closed_form_input_errors(call, message):
+    with pytest.raises(WrongShapeError) as err:
+        call()
+    assert str(err.value) == message

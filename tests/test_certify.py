@@ -17,6 +17,7 @@ from chipfire.errors import (DegenerateMarksError, EnumerationCapError,
 from chipfire.graphs import (Graph, MarkedGraph, build_banana, build_cycle,
                              build_theta, chain_glue, vertex_glue)
 from chipfire.perms import demazure, embed
+from chipfire.specfile import parse_spec
 from chipfire.transmission import (delta, kgt_check, torsion_order,
                                    transmission_permutation)
 
@@ -214,6 +215,30 @@ def test_classify_genus2_agrees_with_brute_sample():
             assert (classify_genus2(mg).verdict == "KGT") == kgt_check(mg).passed
 
 
+def test_classify_theta_labels_ignore_vertex_names():
+    # the one-off label is 3a when u is the hub mark and 3b when v is, so a
+    # graph spec of the same theta whose names sort the hubs the other way
+    # gets the same verdict and case on every ordered mark pair
+    markings = 0
+    for lengths in [(3, 3, 2), (1, 1, 2), (2, 1, 3), (4, 1, 4), (2, 2, 2)]:
+        g = build_theta(*lengths)
+        rename = {v: f"x{i:02d}" for i, v in enumerate(sorted(g.vertices, reverse=True))}
+        text = "graph\n" + "".join(f"vertex {rename[v]}\n" for v in g.vertices)
+        text += "".join(f"edge {rename[a]} {rename[b]}\n"
+                        for (a, b), m in g.edges.items() for _ in range(m))
+        h = parse_spec(text).build_graph()
+        for u, v in itertools.permutations(g.vertices, 2):
+            want = classify_genus2(MarkedGraph(g, u, v))
+            got = classify_genus2(MarkedGraph(h, rename[u], rename[v]))
+            assert (got.verdict, got.evidence["case"]) == \
+                (want.verdict, want.evidence["case"]), (lengths, u, v)
+            markings += 1
+    assert markings == 144
+    # the hub-flipped mirror of theta332a's marking (u on a hub) is 3a too
+    mirror = classify_genus2(MarkedGraph(build_theta(3, 3, 2), "s0.3", "s0.1"))
+    assert mirror.evidence["case"] == "3a"
+
+
 def test_classify_genus2_two_loops_exhaustive():
     combos = [((1, 1), (1, 1)), ((2, 1), (2, 1)), ((2, 1), (3, 1)),
               ((1, 1), (2, 2)), ((3, 1), (2, 2))]
@@ -222,6 +247,19 @@ def test_classify_genus2_two_loops_exhaustive():
         for u, v in itertools.permutations(g.vertices, 2):
             mg = MarkedGraph(g, u, v)
             assert (classify_genus2(mg).verdict == "KGT") == kgt_check(mg).passed
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: classify_genus2(MarkedGraph(build_theta(2, 2, 2), "s0.1", "s0.1")),
+     DegenerateMarksError, "marks must be distinct"),
+    (lambda: classify_banana(MarkedGraph(build_banana([2, 2, 2, 2]), "s0.1", "s0.1")),
+     DegenerateMarksError, "marks must be distinct"),
+    (lambda: chain_certify([]), WrongShapeError, "empty chain"),
+])
+def test_certify_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_classify_genus2_wrong_genus():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from chipfire.banana import _raw_entries, _reduce_entries
 from chipfire.cli import _COMMANDS, _build_parser, run_command
 from chipfire.divisors import Divisor
 from chipfire.errors import SpecParseError
-from chipfire.graphs import Graph, build_banana
+from chipfire.graphs import Graph, MarkedGraph, build_banana, contract_bridges
 from chipfire.specfile import parse_spec
 
 FIG6_TEXT = """\
@@ -350,6 +351,42 @@ def test_cli_json_timing_opt_in(files, capsys):
                         "--timing"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "elapsed_ms" in data
+
+
+def test_cli_text_timing_opt_in(files, capsys):
+    assert run_command(["torsion", files["theta414.graph"], "--timing"]) == 0
+    assert re.fullmatch(r"elapsed: \d+ ms", capsys.readouterr().out.splitlines()[-1])
+
+
+def test_cli_rank_plain_banana_genus_700(tmp_path, capsys):
+    # 701 strands of length 2 written as a graph spec, so the generic descent
+    # runs: one Riemann-Roch step starts it at degree 348, not 1,050, within
+    # the recursion limit.  The banana spec reads the closed form.
+    mids = [f"m{i:03d}" for i in range(701)]
+    plain = tmp_path / "plain701.graph"
+    plain.write_text("\n".join(["graph", "vertex L", "vertex R", *(f"vertex {m}" for m in mids),
+                                *(f"edge {h} {m}" for m in mids for h in "LR"),
+                                "divisor L:1050"]) + "\n")
+    banana = tmp_path / "banana701.graph"
+    banana.write_text("banana " + " ".join(["2"] * 701) + "\ndivisor L:1050\n")
+    for spec in (plain, banana):
+        assert run_command(["rank", str(spec)]) == 0
+        assert capsys.readouterr() == ("350\n", "")
+
+
+def test_cli_classify_bridges_names_contract_bridges(tmp_path, capsys):
+    edges = [("a", "b"), ("a", "b"), ("b", "m"), ("m", "c"), ("c", "d"), ("c", "d")]
+    spec = tmp_path / "bridged.graph"
+    spec.write_text("graph\n" + "".join(f"vertex {v}\n" for v in "abmcd")
+                    + "".join(f"edge {a} {b}\n" for a, b in edges) + "mark u a\nmark v d\n")
+    assert run_command(["classify", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph has bridges; contract them first with chipfire.contract_bridges, "
+        "whose vertex map carries the marks\n")
+    # the route the message names: the bridgeless graph, marks carried over
+    g, vertex_map = contract_bridges(Graph("abmcd", edges))
+    cert = chipfire.classify_genus2(MarkedGraph(g, vertex_map["a"], vertex_map["d"]))
+    assert cert.method == "genus2-classification"
 
 
 def test_cli_class_cap_env(tmp_path, monkeypatch, capsys):

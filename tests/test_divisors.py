@@ -49,6 +49,14 @@ def test_dhar_four_cycle_hand_run():
     assert form.firing_certificate == ((("x2",), 1), (("x1", "x2", "x3"), 1))
 
 
+@pytest.mark.parametrize("coeffs", [{"x1": -1, "q": 5}, {"x2": 2}])
+def test_is_reduced_rejects_on_four_cycle(coeffs):
+    # a debt off the base, or a vertex that can still fire on its own
+    g = Graph(["q", "x1", "x2", "x3"],
+              [("q", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "q")])
+    assert not is_reduced(g, Divisor(coeffs), "q")
+
+
 def test_dhar_idempotent_and_replayable(rng):
     for _ in range(25):
         g = random_connected_multigraph(rng)
@@ -335,6 +343,20 @@ def test_riemann_roch(rng):
         k = canonical_divisor(g)
         d = random_divisor(rng, g)
         assert rank(g, d) - rank(g, k - d) == d.degree - g.genus + 1
+
+
+def test_rank_riemann_roch_step_matches_full_descent(rng):
+    # rank ranks K - D at degree >= g; full_rank descends over every vertex
+    # with no such step, so the two agree at every degree from -1 to 2g + 1
+    # only if the step is right, and Riemann-Roch holds for full_rank itself
+    for _ in range(40):
+        g = random_connected_multigraph(rng)
+        k = canonical_divisor(g)
+        d = random_divisor(rng, g)
+        for degree in range(-1, 2 * g.genus + 2):
+            e = d + Divisor.at(rng.choice(g.vertices), degree - d.degree)
+            assert rank(g, e) == full_rank(g, e), (g.edges, e)
+            assert full_rank(g, e) - full_rank(g, k - e) == degree - g.genus + 1, (g.edges, e)
 
 
 def test_canonical_divisor_shapes():

@@ -75,6 +75,22 @@ def test_build_general_errors():
         Graph(["a"], [("a", "x")])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph([], []), "graph needs at least one vertex"),
+    (lambda: Graph(["a", "b"], {("a", "b"): 0}), "edge multiplicity must be positive"),
+    (lambda: build_banana([1, 1]).index("x"), "unknown vertex 'x'"),
+    (lambda: MarkedGraph(build_banana([2, 2]), "s0.9", "L"),
+     "position 9 outside strand 0 (length 2)"),
+    (lambda: MarkedGraph(build_banana([2, 2]), "s0.x", "L"), "unknown vertex 's0.x'"),
+    (lambda: MarkedGraph(build_banana([2, 2]), "s9.1", "L"), "unknown vertex 's9.1'"),
+    (lambda: chain_glue([]), "cannot glue an empty chain"),
+])
+def test_graph_input_errors(build, message):
+    with pytest.raises(InvalidGraphError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("m", [1.5, 2.0, "2"])
 def test_graph_rejects_inexact_multiplicities(m):
     with pytest.raises(TypeError):

@@ -51,6 +51,16 @@ def test_rejects_inexact_modulus_and_window(build):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: EafPerm(0, ()), "modulus must be >= 1"),
+    (lambda: EafPerm.identity(2).compose(EafPerm.identity(3)), "modulus mismatch"),
+])
+def test_eaf_input_errors(build, message):
+    with pytest.raises(InvalidGraphError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_periodicity_round_trip(rng):
     for _ in range(20):
         k = rng.randint(1, 6)

@@ -88,3 +88,20 @@ def test_malformed_line_reports_its_line(doc, bad, data):
     with pytest.raises(SpecParseError) as err:
         parse_spec("\n".join(lines) + "\n")
     assert str(err.value).startswith(f"line {n}:")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("cycle 1 2 3\n", "line 1: cycle takes exactly two arc lengths"),
+    ("banana 3\n", "line 1: banana needs at least two strand lengths"),
+    ("banana 0 2\n", "line 1: lengths must be positive"),
+    ("banana 1 1\ndivisor L\n", "line 2: divisor term must look like VTX:INT, got 'L'"),
+    ("graph x\n", "line 1: 'graph' takes no arguments on its line"),
+    ("graph\nvertex a\nvertex a\n", "line 3: duplicate vertex 'a'"),
+    ("chain\ncomponent graph\n",
+     "line 2: chain components must be one of ('banana', 'theta', 'cycle')"),
+    ("chain\nmark u L\n", "line 2: mark before any component"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
